@@ -5,7 +5,7 @@
 //
 //	juryserve -addr 127.0.0.1:9000                     # reference policy
 //	juryserve -actor actor.json -debug-addr :9090      # trained actor + metrics
-//	juryserve -checkpoint ck.json -batch 128 -batch-delay 300us
+//	juryserve -checkpoint ck.json -batch 128 -batch-delay 2ms
 //
 // SIGHUP hot-swaps the policy by reloading -actor/-checkpoint through the
 // health gate (a rejected or later-misbehaving version is rolled back
@@ -51,7 +51,7 @@ func main() {
 		actor      = flag.String("actor", "", "serve a JSON actor network (jurytrain -out artifact)")
 		checkpoint = flag.String("checkpoint", "", "serve the actor inside a TD3 training checkpoint")
 		batch      = flag.Int("batch", 0, "max requests per policy execution (0 = default)")
-		batchDelay = flag.Duration("batch-delay", 0, "batch coalescing latency budget (0 = default)")
+		batchDelay = flag.Duration("batch-delay", 0, "opt-in batch coalescing wait; 0 = no wait, execute what is queued (sub-ms values round up to the runtime timer resolution, ~1 ms)")
 		maxQueue   = flag.Int("max-queue", 0, "admission-control queue bound (0 = default, negative = shed unless idle)")
 		drainWait  = flag.Duration("drain", 5*time.Second, "graceful-drain budget on SIGINT/SIGTERM")
 

@@ -6,9 +6,9 @@
 // stream socket with a compact binary protocol).
 //
 // The Server is a multi-tenant inference daemon: concurrent Decide requests
-// are coalesced into minibatches executed under a latency budget (flush on
-// batch-full or deadline, whichever first), ideally through a BatchDecider
-// policy so one GEMM amortizes across every flow that asked in the window.
+// are coalesced into minibatches without waiting (each execution takes every
+// request already queued, up to MaxBatch), ideally through a BatchDecider
+// policy so one GEMM amortizes across every flow that asked meanwhile.
 // Admission control bounds the queue — overload is answered with a typed
 // BUSY response, never a silent hang — per-connection read *and* write
 // deadlines reclaim stalled peers, policies hot-swap between versions with a

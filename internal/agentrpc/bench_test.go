@@ -3,6 +3,7 @@ package agentrpc
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/nn"
@@ -53,4 +54,39 @@ func BenchmarkServeBatch(b *testing.B) {
 			b.ReportMetric(float64(b.N*rows)/b.Elapsed().Seconds(), "decisions/sec")
 		})
 	}
+}
+
+// BenchmarkServeLoopback measures the real serving path: one client making
+// sequential Decide calls over loopback TCP to a daemon with the default
+// Config, so every op pays framing, the socket round trip and the batcher's
+// hand-off on top of one single-row execution. Compare with
+// BenchmarkServeBatch/batch=1, the execution alone.
+func BenchmarkServeLoopback(b *testing.B) {
+	const dim = 16
+	net := nn.NewMLP(simcore.NewRNG(7), []int{dim, 32, 32, 2}, []nn.Activation{nn.ReLU, nn.ReLU, nn.Tanh})
+	srv, err := ServeConfig("127.0.0.1:0", &core.NNPolicy{Net: net}, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	cl, err := DialConfig(srv.Addr(), constPolicy{-9, -9}, ClientConfig{Timeout: time.Second})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	state := make([]float64, dim)
+	for j := range state {
+		state[j] = 0.001 * float64(j)
+	}
+	cl.Decide(state) // warm the connection
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cl.Decide(state)
+	}
+	b.StopTimer()
+	if fb := cl.FallbackDecisions(); fb != 0 {
+		b.Fatalf("%d of %d decisions fell back", fb, b.N+1)
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "decisions/sec")
 }

@@ -165,11 +165,20 @@ func (c *faultConn) Write(b []byte) (int, error) {
 
 // gatePolicy blocks inside Decide while its gate is held and the first
 // state value matches the jam marker — the BUSY-storm test uses it to pin
-// the batcher mid-execution deterministically.
-type gatePolicy struct{ gate chan struct{} }
+// the batcher mid-execution deterministically. When entered is non-nil
+// (buffered), a jam request signals it on reaching Decide, so a test can
+// wait for the batcher to be parked instead of inferring it.
+type gatePolicy struct {
+	gate    chan struct{}
+	entered chan struct{}
+}
 
 func (p gatePolicy) Decide(state []float64) (float64, float64) {
 	if len(state) > 0 && state[0] == jamMarker {
+		select {
+		case p.entered <- struct{}{}:
+		default:
+		}
 		<-p.gate
 	}
 	return 0.5, 0.5
@@ -323,8 +332,8 @@ func TestChaosMatrix(t *testing.T) {
 // consecutive BUSYs, and recover once the jam clears.
 func TestChaosBusyStorm(t *testing.T) {
 	base := runtime.NumGoroutine()
-	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxQueue: -1, MaxBatch: 1})
+	gate, entered := make(chan struct{}), make(chan struct{}, 1)
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate: gate, entered: entered}, Config{MaxQueue: -1, MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,24 +360,38 @@ func TestChaosBusyStorm(t *testing.T) {
 	calls++
 
 	// Jam the batcher: a raw connection parks one request inside Decide.
+	// With no queue, the jam frame is itself shed if it lands before the
+	// batcher is back at its receive; that BUSY reply triggers a resend.
 	jam, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jam.Close()
-	if _, err := jam.Write(appendRequest(nil, []float64{jamMarker})); err != nil {
-		t.Fatal(err)
-	}
-	// Wait until the jam request is actually inside the policy (the batcher
-	// stops receiving, so a probe decision is shed).
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Shed() == 0 {
-		if time.Now().After(deadline) {
+	replies := make(chan struct{}, 1)
+	go func() {
+		var buf [respSize]byte
+		for {
+			if _, _, _, err := readResponse(jam, &buf); err != nil {
+				return
+			}
+			select {
+			case replies <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	giveUp := time.After(5 * time.Second)
+	for jammed := false; !jammed; {
+		if _, err := jam.Write(appendRequest(nil, []float64{jamMarker})); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-entered:
+			jammed = true
+		case <-replies:
+		case <-giveUp:
 			t.Fatal("batcher never jammed")
 		}
-		decideAndCount(t, cl, cfg, []float64{1}, fb)
-		calls++
-		time.Sleep(2 * time.Millisecond)
 	}
 
 	dials := cl.DialAttempts()
@@ -391,7 +414,7 @@ func TestChaosBusyStorm(t *testing.T) {
 	// Clear the jam; the breaker's half-open probe must find the service.
 	close(gate)
 	remoteBefore := cl.RemoteDecisions()
-	deadline = time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(5 * time.Second)
 	for cl.RemoteDecisions() == remoteBefore {
 		if time.Now().After(deadline) {
 			t.Fatal("client never recovered after the storm")
@@ -495,7 +518,7 @@ func TestChaosPanicMidBatch(t *testing.T) {
 // queueing behind the connection mutex.
 func TestClientShedsAboveMaxPending(t *testing.T) {
 	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxBatch: 1})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate: gate}, Config{MaxBatch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

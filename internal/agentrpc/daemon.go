@@ -20,7 +20,6 @@ const defaultReadTimeout = 2 * time.Minute
 // Serving defaults; see Config.
 const (
 	defaultMaxBatch     = 64
-	defaultBatchDelay   = 200 * time.Microsecond
 	defaultWriteTimeout = 2 * time.Second
 	defaultWaitTimeout  = time.Second
 )
@@ -30,9 +29,13 @@ type Config struct {
 	// MaxBatch is the largest minibatch one policy execution may serve; a
 	// batch is flushed the moment it fills.
 	MaxBatch int
-	// BatchDelay is the coalescing latency budget: after the first request
-	// of a batch arrives, the batcher waits at most this long for the batch
-	// to fill before executing what it has.
+	// BatchDelay is an opt-in coalescing wait. The default (zero) is
+	// work-conserving: the batcher executes the first request together with
+	// whatever is already queued, and requests arriving during an execution
+	// form the next batch. A positive value makes the batcher wait up to this
+	// long for a partial batch to fill, which only pays off at very high
+	// fan-in; a sub-millisecond wait rounds up to the runtime's timer
+	// resolution (about 1 ms on an idle Linux process).
 	BatchDelay time.Duration
 	// MaxQueue bounds the admitted-but-unexecuted request queue. A request
 	// arriving with the queue full is shed with a typed BUSY response
@@ -56,8 +59,8 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = defaultMaxBatch
 	}
-	if c.BatchDelay <= 0 {
-		c.BatchDelay = defaultBatchDelay
+	if c.BatchDelay < 0 {
+		c.BatchDelay = 0
 	}
 	switch {
 	case c.MaxQueue == 0:
@@ -582,9 +585,9 @@ func (s *Server) writeResponse(conn net.Conn, buf *[]byte, status byte, mu, delt
 }
 
 // batchLoop is the daemon's single executor: block for the first request,
-// coalesce until the batch fills or the latency budget expires, execute.
-// It exits when the queue is closed (after every connection goroutine has),
-// flushing whatever is still queued first.
+// take whatever else is already queued, optionally wait out BatchDelay for
+// the batch to fill, execute. It exits when the queue is closed (after every
+// connection goroutine has), flushing whatever is still queued first.
 func (s *Server) batchLoop() {
 	defer close(s.batchDone)
 	cfg := s.cfg
@@ -602,29 +605,49 @@ func (s *Server) batchLoop() {
 			return
 		}
 		batch = append(batch[:0], p)
-		if cfg.MaxBatch > 1 {
-			timer.Reset(cfg.BatchDelay)
-		collect:
-			for len(batch) < cfg.MaxBatch {
-				select {
-				case q, ok := <-s.queue:
-					if !ok {
-						break collect
-					}
-					batch = append(batch, q)
-				case <-timer.C:
-					break collect
+	drain:
+		for len(batch) < cfg.MaxBatch {
+			select {
+			case q, ok := <-s.queue:
+				if !ok {
+					break drain
 				}
+				batch = append(batch, q)
+			default:
+				break drain
 			}
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
+		}
+		if cfg.BatchDelay > 0 && len(batch) < cfg.MaxBatch {
+			batch = s.collect(batch, timer)
 		}
 		xbuf = s.execute(batch, xbuf, mus, deltas)
 	}
+}
+
+// collect is the opt-in bounded wait: it adds arriving requests to batch
+// until the batch fills, the queue closes or BatchDelay expires.
+func (s *Server) collect(batch []*pending, timer *time.Timer) []*pending {
+	timer.Reset(s.cfg.BatchDelay)
+	defer func() {
+		if !timer.Stop() {
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+	}()
+	for len(batch) < s.cfg.MaxBatch {
+		select {
+		case q, ok := <-s.queue:
+			if !ok {
+				return batch
+			}
+			batch = append(batch, q)
+		case <-timer.C:
+			return batch
+		}
+	}
+	return batch
 }
 
 // execute answers one batch against the current policy version. A panicking

@@ -3,6 +3,8 @@ package agentrpc
 import (
 	"errors"
 	"math"
+	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -222,13 +224,111 @@ func TestBatchFullFlushesEarly(t *testing.T) {
 	}
 }
 
+// batchRecorder is a gatePolicy that also serves the batched path and
+// records the row count of every execution.
+type batchRecorder struct {
+	gatePolicy
+	mu   sync.Mutex
+	rows []int
+}
+
+func (p *batchRecorder) InputDim() int { return 1 }
+
+func (p *batchRecorder) DecideBatch(states []float64, rows int, mu, delta []float64) {
+	p.mu.Lock()
+	p.rows = append(p.rows, rows)
+	p.mu.Unlock()
+	for i := 0; i < rows; i++ {
+		mu[i], delta[i] = p.Decide(states[i : i+1])
+	}
+}
+
+// TestWorkConservingCoalescing: with the default (zero) BatchDelay, the
+// requests that queue while a batch executes form the next batch — exactly
+// what was queued, split at MaxBatch — with no timer involved. The first
+// batch is parked in the policy so the queue depth is known exactly.
+func TestWorkConservingCoalescing(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		maxBatch int
+		queued   int
+		want     []int // rows per execution, the parked jam first
+	}{
+		{"under-max-batch", 64, 5, []int{1, 5}},
+		{"over-max-batch", 4, 10, []int{1, 4, 4, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol := &batchRecorder{gatePolicy: gatePolicy{gate: make(chan struct{}), entered: make(chan struct{}, 1)}}
+			srv, err := ServeConfig("127.0.0.1:0", pol, Config{MaxBatch: tc.maxBatch, WaitTimeout: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			send := func(v float64) net.Conn {
+				conn, err := net.Dial("tcp", srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := conn.Write(appendRequest(nil, []float64{v})); err != nil {
+					t.Fatal(err)
+				}
+				return conn
+			}
+
+			conns := []net.Conn{send(jamMarker)}
+			defer func() {
+				for _, c := range conns {
+					c.Close()
+				}
+			}()
+			<-pol.entered
+			for i := 0; i < tc.queued; i++ {
+				conns = append(conns, send(1))
+			}
+			for srv.QueueDepth() != tc.queued {
+				time.Sleep(time.Millisecond)
+			}
+			close(pol.gate)
+			var buf [respSize]byte
+			for i, c := range conns {
+				if status, mu, _, err := readResponse(c, &buf); err != nil || status != statusOK || mu != 0.5 {
+					t.Fatalf("conn %d answered status %d mu %v err %v", i, status, mu, err)
+				}
+			}
+
+			if got, want := srv.Batches(), int64(len(tc.want)); got != want {
+				t.Errorf("Batches() = %d, want %d", got, want)
+			}
+			if got, want := srv.BatchedRequests(), int64(1+tc.queued); got != want {
+				t.Errorf("BatchedRequests() = %d, want %d", got, want)
+			}
+			pol.mu.Lock()
+			defer pol.mu.Unlock()
+			if !slices.Equal(pol.rows, tc.want) {
+				t.Errorf("batch rows %v, want %v", pol.rows, tc.want)
+			}
+		})
+	}
+}
+
+// TestDefaultBatchDelayIsZero: the zero Config must select work-conserving
+// batching, not a coalescing wait.
+func TestDefaultBatchDelayIsZero(t *testing.T) {
+	if d := (Config{}).withDefaults().BatchDelay; d != 0 {
+		t.Fatalf("default BatchDelay = %v, want 0", d)
+	}
+	if d := (Config{BatchDelay: -time.Millisecond}).withDefaults().BatchDelay; d != 0 {
+		t.Fatalf("negative BatchDelay normalized to %v, want 0", d)
+	}
+}
+
 // TestServingDeadlineAnswersERR: a policy execution outliving WaitTimeout
 // must cost that request a typed ERR (client falls back), never a wedged
 // connection — and the late batcher result lands harmlessly in the
 // abandoned pending.
 func TestServingDeadlineAnswersERR(t *testing.T) {
 	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxBatch: 1, WaitTimeout: 30 * time.Millisecond})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate: gate}, Config{MaxBatch: 1, WaitTimeout: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +363,7 @@ func TestServingDeadlineAnswersERR(t *testing.T) {
 // inside the batcher before shutting down.
 func TestDrainAnswersInFlight(t *testing.T) {
 	gate := make(chan struct{})
-	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate}, Config{MaxBatch: 1, WaitTimeout: 5 * time.Second})
+	srv, err := ServeConfig("127.0.0.1:0", gatePolicy{gate: gate}, Config{MaxBatch: 1, WaitTimeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -112,16 +112,36 @@ func MeanRTT(f FlowSeries, from, to time.Duration) time.Duration {
 // flows that are active (non-zero throughput window) and returns the mean —
 // the "average Jain index" of the paper's Fig. 6, which penalizes both
 // unequal equilibria and slow convergence.
+//
+// It merges the per-flow series, each already in time order, so instants
+// are visited in increasing time and the result is bit-for-bit repeatable.
 func TimewiseJain[F FlowSeries](flows []F) float64 {
-	series := make(map[time.Duration][]float64)
-	for _, f := range flows {
-		for _, p := range f.Series() {
-			series[p.T] = append(series[p.T], p.ThroughputBps)
-		}
+	series := make([][]netsim.SeriesPoint, len(flows))
+	for i, f := range flows {
+		series[i] = f.Series()
 	}
+	var shares []float64
 	var sum float64
 	var n int
-	for _, shares := range series {
+	for {
+		var t time.Duration
+		found := false
+		for _, s := range series {
+			if len(s) > 0 && (!found || s[0].T < t) {
+				t, found = s[0].T, true
+			}
+		}
+		if !found {
+			break
+		}
+		shares = shares[:0]
+		for i, s := range series {
+			for len(s) > 0 && s[0].T == t {
+				shares = append(shares, s[0].ThroughputBps)
+				s = s[1:]
+			}
+			series[i] = s
+		}
 		if len(shares) < 2 {
 			continue // a lone flow is trivially fair; skip
 		}

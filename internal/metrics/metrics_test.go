@@ -152,6 +152,72 @@ func TestTimewiseJain(t *testing.T) {
 	}
 }
 
+// staticSeries is a FlowSeries over a fixed, time-ordered series.
+type staticSeries []netsim.SeriesPoint
+
+func (staticSeries) Name() string                   { return "static" }
+func (staticSeries) BaseRTT() time.Duration         { return 0 }
+func (s staticSeries) Series() []netsim.SeriesPoint { return s }
+
+// staggeredFlows builds flows whose record grids only partly overlap: each
+// starts at its own offset and records at its own interval, so instants
+// hold anywhere from one to all flows.
+func staggeredFlows() []staticSeries {
+	flows := make([]staticSeries, 6)
+	x := uint64(12345)
+	for i := range flows {
+		start := time.Duration(i) * 10 * time.Millisecond
+		step := time.Duration(10+i%3*10) * time.Millisecond
+		for t := start; t < 20*time.Second; t += step {
+			x = x*6364136223846793005 + 1442695040888963407
+			rate := float64(x>>11) / (1 << 53) * 10e6
+			flows[i] = append(flows[i], netsim.SeriesPoint{T: t, ThroughputBps: rate})
+		}
+	}
+	return flows
+}
+
+// mapTimewiseJain is the original grouping: per-instant shares collected in
+// a map and summed in map order.
+func mapTimewiseJain(flows []staticSeries) float64 {
+	series := make(map[time.Duration][]float64)
+	for _, f := range flows {
+		for _, p := range f {
+			series[p.T] = append(series[p.T], p.ThroughputBps)
+		}
+	}
+	var sum float64
+	var n int
+	for _, shares := range series {
+		if len(shares) >= 2 {
+			sum += JainIndex(shares)
+			n++
+		}
+	}
+	if n == 0 {
+		return 1
+	}
+	return sum / float64(n)
+}
+
+// TestTimewiseJainDeterministic: repeated calls are bit-identical, and the
+// time-ordered merge groups instants exactly as the map did.
+func TestTimewiseJainDeterministic(t *testing.T) {
+	flows := staggeredFlows()
+	first := TimewiseJain(flows)
+	if first <= 0 || first >= 1 {
+		t.Fatalf("Jain %v on random shares, want inside (0, 1)", first)
+	}
+	for i := 0; i < 20; i++ {
+		if got := TimewiseJain(flows); math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d returned %v, first call %v", i, got, first)
+		}
+	}
+	if want := mapTimewiseJain(flows); math.Abs(first-want) > 1e-12 {
+		t.Fatalf("merged Jain %v, map grouping %v", first, want)
+	}
+}
+
 func TestConvergenceTime(t *testing.T) {
 	n := netsim.New(netsim.Config{Seed: 9})
 	l := n.AddLink(netsim.LinkConfig{Rate: 10e6, Delay: 10 * time.Millisecond, BufferBytes: 100_000})

@@ -53,8 +53,11 @@ echo "== streaming obs: zero-alloc hot path + streaming-vs-post-hoc Jain + diges
 go test -run '^(TestSampleRecordedAllocs|TestSketchObserveAllocs|TestStreamingJainMatchesPostHoc)' -count=1 ./internal/obs
 go test -run '^(TestObsStreamingJainMatchesPostHoc|TestObsDigestParity|TestObsShardedDigestParity|TestObsFlightRecorderOnFaults)$' -count=1 ./internal/exp
 
-echo "== inference daemon: chaos matrix under the race detector"
-go test -race -run '^(TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight)' -count=1 ./internal/agentrpc
+echo "== inference daemon: chaos matrix + work-conserving batching under the race detector"
+go test -race -run '^(TestChaos|TestClientShedsAboveMaxPending|TestServerWriteDeadlineDropsStalledReader|TestDialBackoffJitterDesynchronizes|TestRuntimeNonFiniteRollsBack|TestDrainAnswersInFlight|TestWorkConservingCoalescing|TestDefaultBatchDelayIsZero|TestBatchCoalescing|TestBatchFullFlushesEarly)' -count=1 ./internal/agentrpc
+
+echo "== inference daemon: BUSY-storm jam synchronization, 20 runs under the race detector"
+go test -race -run '^TestChaosBusyStorm$' -count=20 ./internal/agentrpc
 
 echo "== run store: crash matrix + bit-flip sweep under the race detector"
 go test -race -short -run '^(TestCrashMatrix|TestCompactionCrashMatrix|TestBitFlipSweep)$' -count=1 ./internal/runstore
