@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/exp"
 	"repro/internal/runstore"
-	"repro/internal/telemetry"
 )
 
 var experiments = []struct {
@@ -73,24 +72,17 @@ func main() {
 		storeDir   = flag.String("store", "", "record completed runs in a WAL-backed store at this directory")
 		resume     = flag.Bool("resume", false, "serve runs already present in -store without re-simulating")
 		storeFsync = flag.String("store-fsync", "interval", `store durability: "always", "interval", or "never"`)
+		compact    = flag.Bool("store-compact", false, "store records without per-flow series (tables fall back on precomputed late means and the stream summary)")
 
-		telemetryOn = flag.Bool("telemetry", false, "enable the telemetry hub (implied by -trace-out/-debug-addr)")
-		traceOut    = flag.String("trace-out", "", `write JSONL spans/events to this path ("-" for stderr)`)
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /metrics.json, /debug/pprof, /debug/vars on this address")
-		obsOn       = flag.Bool("obs", false, "attach the streaming fairness observer (live /fairness on -debug-addr)")
-		obsWindow   = flag.Duration("obs-window", 500*time.Millisecond, "fairness snapshot cadence in virtual time")
-		flightDir   = flag.String("flight-dir", "", "write flight-recorder JSONL dumps here on anomaly triggers (implies -obs)")
-		compact     = flag.Bool("store-compact", false, "store records without per-flow series (tables fall back on precomputed late means and the stream summary)")
+		inst = exp.RegisterInstrumentFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	hub, err := telemetry.Setup(telemetry.Options{Enabled: *telemetryOn, TraceOut: *traceOut, DebugAddr: *debugAddr})
+	hub, err := inst.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "juryexp:", err)
 		os.Exit(1)
 	}
-	exp.Telemetry = hub
 	defer hub.Close()
-	exp.SetupObs(*obsOn, *obsWindow, *flightDir, hub)
 	exp.DefaultShards = *shards
 	exp.StoreCompact = *compact
 	if *resume && *storeDir == "" {
@@ -119,9 +111,6 @@ func main() {
 				fmt.Fprintln(os.Stderr, "juryexp: store close:", err)
 			}
 		}()
-	}
-	if addr := hub.DebugAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/\n", addr)
 	}
 	if *list || *id == "" {
 		fmt.Println("experiments:")

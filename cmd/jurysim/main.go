@@ -30,19 +30,14 @@ import (
 	"repro/internal/telemetry"
 )
 
-// setupTelemetry builds a hub from the shared -telemetry/-trace-out/
-// -debug-addr flags, installs it on the experiment harness, and returns it
-// (nil when everything is off). The caller must Close it before exiting so
-// the trace buffer flushes.
-func setupTelemetry(enabled bool, traceOut, debugAddr string) *telemetry.Hub {
-	hub, err := telemetry.Setup(telemetry.Options{Enabled: enabled, TraceOut: traceOut, DebugAddr: debugAddr})
+// setupInstruments builds the hub and streaming observer from the shared
+// instrumentation flags and installs them on the experiment harness. The
+// caller must Close the hub before exiting so the trace buffer flushes.
+func setupInstruments(f *exp.InstrumentFlags) *telemetry.Hub {
+	hub, err := f.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jurysim:", err)
 		os.Exit(1)
-	}
-	exp.Telemetry = hub
-	if addr := hub.DebugAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/\n", addr)
 	}
 	return hub
 }
@@ -66,19 +61,13 @@ func main() {
 		csvPath  = flag.String("csv", "", "write per-flow time series as CSV to this path")
 		shards   = flag.Int("shards", 1, "max shards for space-parallel execution (1 = sequential; results are shard-count independent)")
 
-		telemetryOn = flag.Bool("telemetry", false, "enable the telemetry hub (implied by -trace-out/-debug-addr)")
-		traceOut    = flag.String("trace-out", "", `write JSONL spans/events to this path ("-" for stderr)`)
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /metrics.json, /debug/pprof, /debug/vars on this address")
-		obsOn       = flag.Bool("obs", false, "attach the streaming fairness observer (live /fairness on -debug-addr)")
-		obsWindow   = flag.Duration("obs-window", 500*time.Millisecond, "fairness snapshot cadence in virtual time")
-		flightDir   = flag.String("flight-dir", "", "write flight-recorder JSONL dumps here on anomaly triggers (implies -obs)")
+		inst = exp.RegisterInstrumentFlags(flag.CommandLine)
 
 		daemonAddr = flag.String("daemon-addr", "", "drive jury flows from a juryserve inference daemon at this address (AIMD-safe fallback on failure)")
 	)
 	flag.Parse()
-	hub := setupTelemetry(*telemetryOn, *traceOut, *debugAddr)
+	hub := setupInstruments(inst)
 	defer hub.Close()
-	exp.SetupObs(*obsOn, *obsWindow, *flightDir, hub)
 	exp.DefaultShards = *shards
 
 	names := strings.Split(*schemes, ",")
@@ -194,17 +183,11 @@ func runFaults(args []string) {
 		duration = fs.Duration("duration", 60*time.Second, "simulation horizon")
 		seed     = fs.Uint64("seed", 1, "random seed")
 
-		telemetryOn = fs.Bool("telemetry", false, "enable the telemetry hub (implied by -trace-out/-debug-addr)")
-		traceOut    = fs.String("trace-out", "", `write JSONL spans/events to this path ("-" for stderr)`)
-		debugAddr   = fs.String("debug-addr", "", "serve /metrics, /metrics.json, /debug/pprof, /debug/vars on this address")
-		obsOn       = fs.Bool("obs", false, "attach the streaming fairness observer (live /fairness on -debug-addr)")
-		obsWindow   = fs.Duration("obs-window", 500*time.Millisecond, "fairness snapshot cadence in virtual time")
-		flightDir   = fs.String("flight-dir", "", "write flight-recorder JSONL dumps here on anomaly triggers (implies -obs)")
+		inst = exp.RegisterInstrumentFlags(fs)
 	)
 	fs.Parse(args)
-	hub := setupTelemetry(*telemetryOn, *traceOut, *debugAddr)
+	hub := setupInstruments(inst)
 	defer hub.Close()
-	exp.SetupObs(*obsOn, *obsWindow, *flightDir, hub)
 
 	o := exp.RobustnessOptions{
 		Rate:     *rateMbps * 1e6,

@@ -17,10 +17,8 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/core"
-	"repro/internal/netsim"
+	"repro/internal/exp"
 	"repro/internal/nn"
-	"repro/internal/obs"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -36,34 +34,18 @@ func main() {
 		rate    = flag.Float64("rate", 100, "eval: link rate, Mbps")
 		rtt     = flag.Float64("rtt", 30, "eval: base RTT, ms")
 
-		telemetryOn = flag.Bool("telemetry", false, "enable the telemetry hub (implied by -trace-out/-debug-addr)")
-		traceOut    = flag.String("trace-out", "", `write JSONL spans/events to this path ("-" for stderr)`)
-		debugAddr   = flag.String("debug-addr", "", "serve /metrics, /metrics.json, /debug/pprof, /debug/vars on this address")
-		obsOn       = flag.Bool("obs", false, "attach the streaming fairness observer to -eval runs (live /fairness on -debug-addr)")
-		obsWindow   = flag.Duration("obs-window", 500*time.Millisecond, "fairness snapshot cadence in virtual time")
-		flightDir   = flag.String("flight-dir", "", "write flight-recorder JSONL dumps here on anomaly triggers (implies -obs)")
+		inst = exp.RegisterInstrumentFlags(flag.CommandLine)
 	)
 	flag.Parse()
-	hub, err := telemetry.Setup(telemetry.Options{Enabled: *telemetryOn, TraceOut: *traceOut, DebugAddr: *debugAddr})
+	hub, err := inst.Setup()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "jurytrain:", err)
 		os.Exit(1)
 	}
 	defer hub.Close()
-	var obsRT *obs.Runtime
-	if *obsOn || *flightDir != "" {
-		obsRT = obs.New(obs.Options{Window: *obsWindow, FlightDir: *flightDir})
-		if d := hub.Debug(); d != nil {
-			d.Handle("/fairness", obsRT.State())
-			d.Handle("/fairness/stream", obsRT.State().StreamHandler())
-		}
-	}
-	if addr := hub.DebugAddr(); addr != "" {
-		fmt.Fprintf(os.Stderr, "debug endpoint: http://%s/\n", addr)
-	}
 
 	if *eval != "" {
-		if err := evaluate(*eval, *rate*1e6, time.Duration(*rtt)*time.Millisecond, *seed, hub, obsRT); err != nil {
+		if err := evaluate(*eval, *rate*1e6, time.Duration(*rtt)*time.Millisecond, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "jurytrain:", err)
 			os.Exit(1)
 		}
@@ -102,8 +84,10 @@ func main() {
 	fmt.Printf("done: final epoch mean reward %.4f, weights -> %s\n", last, *out)
 }
 
-// evaluate runs a 2-flow fairness check with the trained policy.
-func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64, hub *telemetry.Hub, obsRT *obs.Runtime) error {
+// evaluate runs a 2-flow fairness check with the trained policy through the
+// experiment harness, so -telemetry, -obs and JURY_SIMCHECK apply to it as
+// to any figure run.
+func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -112,29 +96,36 @@ func evaluate(path string, rateBps float64, rtt time.Duration, seed uint64, hub 
 	if err := json.Unmarshal(data, &actor); err != nil {
 		return fmt.Errorf("loading %s: %w", path, err)
 	}
-	mkJury := func(s uint64) cc.Algorithm {
-		cfg := core.DefaultConfig()
-		cfg.Seed = s
-		return core.New(cfg, &core.NNPolicy{Net: &actor})
+	// The factory keeps the controller seeds seed+1 and seed+2 instead of
+	// Run's per-flow seeds, so the same weights and -seed evaluate to the
+	// same numbers across releases.
+	jury := func(s uint64) exp.FlowSpec {
+		return exp.FlowSpec{Scheme: "jury", CC: func(uint64) cc.Algorithm {
+			cfg := core.DefaultConfig()
+			cfg.Seed = s
+			return core.New(cfg, &core.NNPolicy{Net: &actor})
+		}}
 	}
-	n := netsim.New(netsim.Config{Seed: seed})
-	l := n.AddLink(netsim.LinkConfig{
-		Rate: rateBps, Delay: rtt / 2,
+	b := jury(seed + 2)
+	b.Start = 20 * time.Second
+	res, err := exp.Run(exp.Scenario{
+		Name:        "jurytrain-eval",
+		Rate:        rateBps,
+		OneWayDelay: rtt / 2,
 		BufferBytes: int(1.5 * rateBps / 8 * rtt.Seconds()),
+		Flows:       []exp.FlowSpec{jury(seed + 1), b},
+		Horizon:     80 * time.Second,
+		Seed:        seed,
 	})
-	f1 := n.AddFlow(netsim.FlowConfig{Name: "a", Path: []*netsim.Link{l},
-		CC: func() cc.Algorithm { return mkJury(seed + 1) }})
-	f2 := n.AddFlow(netsim.FlowConfig{Name: "b", Path: []*netsim.Link{l}, Start: 20 * time.Second,
-		CC: func() cc.Algorithm { return mkJury(seed + 2) }})
-	telemetry.AttachSim(n, hub)
-	ob := obsRT.Attach(n, 1)
-	n.Run(80 * time.Second)
-	s1, s2 := f1.Stats(), f2.Stats()
+	if err != nil {
+		return err
+	}
+	s1, s2 := res.FlowSummaries[0].Stats(), res.FlowSummaries[1].Stats()
 	fmt.Printf("trained policy on %.0f Mbps / %v:\n", rateBps/1e6, rtt)
 	fmt.Printf("  flow a: %.1f Mbps (avg RTT %.1f ms)\n", s1.AvgThroughputBps/1e6, float64(s1.AvgRTT)/1e6)
 	fmt.Printf("  flow b: %.1f Mbps (avg RTT %.1f ms)\n", s2.AvgThroughputBps/1e6, float64(s2.AvgRTT)/1e6)
-	fmt.Printf("  link utilization: %.3f\n", l.Utilization(80*time.Second))
-	if sum := ob.Finish(80 * time.Second); sum != nil {
+	fmt.Printf("  link utilization: %.3f\n", res.Utilization)
+	if sum := res.Stream; sum != nil {
 		fmt.Printf("  streaming fairness: final Jain %.3f (worst window %.3f over %d snapshots)\n",
 			sum.FinalJain, sum.MinWindowJain, sum.Snapshots)
 	}

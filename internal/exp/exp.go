@@ -34,10 +34,11 @@ import (
 )
 
 // Telemetry, when set to a live hub by a binary's -telemetry/-trace-out/
-// -debug-addr flags, instruments every Run: run lifecycle counters and
-// spans, plus a SimObserver attached to each scenario's network. A nil hub
-// (the default) keeps the harness on its uninstrumented fast path — Run
-// does one nil check and nothing else.
+// -debug-addr flags, instruments every whole-run simulation (Run, RunHuge,
+// RunMultiBottleneck and everything built on them): run lifecycle counters
+// and spans, plus a SimObserver attached to each network. A nil hub (the
+// default) keeps the harness on its uninstrumented fast path — one nil
+// check and nothing else.
 var Telemetry *telemetry.Hub
 
 // DefaultShards is the shard count scenarios with Shards == 0 run at. The
@@ -46,12 +47,12 @@ var Telemetry *telemetry.Hub
 // opts in.
 var DefaultShards = 1
 
-// ForceCheck attaches a simcheck invariant checker to every scenario Run
-// executes, regardless of Scenario.Check. It is initialized from the
-// JURY_SIMCHECK environment variable so production figure runs can be
-// audited without code changes (see EXPERIMENTS.md), and the experiment
-// package's own tests turn it on in TestMain so the whole short suite runs
-// under the invariant checker.
+// ForceCheck attaches a simcheck invariant checker to every whole-run
+// simulation, regardless of Scenario.Check or HugeOptions.Check. It is
+// initialized from the JURY_SIMCHECK environment variable so production
+// figure runs can be audited without code changes (see EXPERIMENTS.md), and
+// the experiment package's own tests turn it on in TestMain so the whole
+// short suite runs under the invariant checker.
 var ForceCheck = os.Getenv("JURY_SIMCHECK") != ""
 
 // Schemes lists every congestion-control scheme the harness can run.
@@ -107,8 +108,10 @@ type FlowSpec struct {
 	Duration    time.Duration // 0 = until horizon
 	ExtraOneWay time.Duration
 	// CC, if non-nil, overrides Scheme with a custom controller factory
-	// (Scheme then only labels the flow). Tests use it to inject adversarial
-	// controllers into scenarios.
+	// (Scheme then only labels the flow); it receives the seed Run derives
+	// for the flow. Table 3, the ablations and `jurytrain -eval` use it to
+	// keep their own controller seeds and policies; a scenario with a CC
+	// factory is never cached in the run store.
 	CC func(seed uint64) cc.Algorithm
 }
 
@@ -135,8 +138,8 @@ type Scenario struct {
 	// netsim.Network.RunSharded). 0 means DefaultShards; 1 runs sequentially.
 	// A single-bottleneck dumbbell always partitions into one shard, so the
 	// setting only changes execution — never results — for the scenarios this
-	// struct describes; multi-bottleneck topologies (RunMultiBottleneck,
-	// RunHuge) are where extra shards buy wall-clock time.
+	// struct describes; multi-link topologies (RunHuge) are where extra
+	// shards buy wall-clock time.
 	Shards int
 }
 
@@ -255,19 +258,10 @@ func Run(s Scenario) (*RunResult, error) {
 	if s.Horizon <= 0 {
 		return nil, fmt.Errorf("exp: scenario %q without horizon", s.Name)
 	}
-	st := Store
-	key, cacheable := runstore.Key{}, false
-	if st != nil {
-		key, cacheable = ScenarioKey(s)
-		if cacheable && StoreResume {
-			if rec, ok := st.Get(key); ok {
-				storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
-				return resultFromRecord(s, rec), nil
-			}
-			storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
-		}
+	slot, rec := lookupStore(ScenarioKey(s))
+	if rec != nil {
+		return resultFromRecord(s, rec), nil
 	}
-	liveRuns.Add(1)
 	n := netsim.New(netsim.Config{Seed: s.Seed})
 	link := n.AddLink(netsim.LinkConfig{
 		Rate:        s.Rate,
@@ -278,7 +272,6 @@ func Run(s Scenario) (*RunResult, error) {
 		Faults:      s.Faults,
 	})
 	for i, fs := range s.Flows {
-		fs := fs
 		seed := s.Seed*1000 + uint64(i) + 1
 		var alg cc.Algorithm
 		if fs.CC != nil {
@@ -303,37 +296,90 @@ func Run(s Scenario) (*RunResult, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
+	shards := effectiveShards(s)
+	out, err := simulate(n, runSpec{
+		name: s.Name, seed: s.Seed, horizon: s.Horizon, check: s.Check,
+		shards: shards, obsShards: shards,
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := &RunResult{
+		Scenario:    s,
+		Flows:       n.Flows(),
+		Link:        link,
+		Utilization: link.Utilization(s.Horizon),
+		Digest:      out.digest,
+		Checked:     out.checked,
+		Stream:      out.stream,
+	}
+	res.summarize()
+	if err := slot.put(func() *runstore.Record { return recordFromResult(s, res) }); err != nil {
+		return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
+	}
+	return res, nil
+}
+
+// runSpec is what the run core needs to know about a built network.
+type runSpec struct {
+	name    string // labels spans, events and errors
+	seed    uint64
+	horizon time.Duration
+	check   bool // attach the invariant checker (ForceCheck overrides)
+	// shards > 1 runs the network sharded; obsShards is the shard count the
+	// streaming observer is attached with.
+	shards, obsShards int
+}
+
+// runOutcome is what the run core reports back to its builder.
+type runOutcome struct {
+	digest  uint64 // simcheck digest; zero unless checked
+	checked bool
+	stream  *obs.StreamSummary // nil without Obs
+	// shards reports per-shard event counts (one entry for a sequential
+	// run) and, for a sharded run, the partition and barrier figures.
+	shards *netsim.ShardRun
+}
+
+// simulate is the one code path that executes a whole simulation. It
+// attaches the simcheck invariant checker, then telemetry, then the
+// streaming observer — each chains behind the taps before it, so they
+// compose — runs the network to the horizon sequentially or sharded, and
+// finishes the checker and the observer. Every builder (Run's dumbbell,
+// BuildHuge's mesh, the parking lot) hands its network here, so every
+// whole-run experiment is audited, instrumented and observed alike.
+func simulate(n *netsim.Network, sp runSpec) (runOutcome, error) {
+	liveRuns.Add(1)
 	var ck *simcheck.Checker
-	if s.Check || ForceCheck {
+	if sp.check || ForceCheck {
 		ck = simcheck.Attach(n)
 	}
 	hub := Telemetry
 	var span telemetry.Span
-	var runSeconds *telemetry.Histogram
 	var started time.Time
 	if hub.Enabled() {
-		// The checker's tap and engine hook are installed first; AttachSim
-		// chains them, so checking and telemetry compose.
 		telemetry.AttachSim(n, hub)
 		hub.Registry.Counter("exp_runs_started_total", "scenario runs started").Inc()
-		runSeconds = hub.Registry.Histogram("exp_run_seconds", "wall time of one scenario run", telemetry.ExpBuckets(1e-3, 2, 18))
-		span = hub.StartSpan("run:"+s.Name, 0)
+		span = hub.StartSpan("run:"+sp.name, 0)
 		hub.Event("exp", "run_start", 0,
-			telemetry.Str("scenario", s.Name),
-			telemetry.I64("flows", int64(len(s.Flows))),
-			telemetry.I64("seed", int64(s.Seed)))
+			telemetry.Str("scenario", sp.name),
+			telemetry.I64("flows", int64(len(n.Flows()))),
+			telemetry.I64("seed", int64(sp.seed)))
 		started = time.Now()
 	}
-	shards := s.Shards
-	if shards == 0 {
-		shards = DefaultShards
+	fail := func(outcome string, err error) (runOutcome, error) {
+		if hub.Enabled() {
+			hub.Registry.Counter("exp_runs_failed_total", "scenario runs that returned an error").Inc()
+			span.End(sp.horizon, telemetry.Str("outcome", outcome))
+		}
+		return runOutcome{}, fmt.Errorf("exp: scenario %q: %w", sp.name, err)
 	}
 	var ob *obs.Observer
 	if Obs != nil {
-		// The observatory chains behind checker and telemetry taps and claims
-		// the network's window hook. The violation hook and the panic dump
-		// are wired here so obs never imports simcheck or the harness.
-		ob = Obs.Attach(n, shards)
+		// The observatory claims the network's window hook. The violation
+		// hook and the panic dump are wired here so obs never imports
+		// simcheck or the harness.
+		ob = Obs.Attach(n, sp.obsShards)
 		if ck != nil {
 			ck.SetViolationHook(func(v simcheck.Violation) { ob.NoteViolation(v.Time, v.Rule) })
 		}
@@ -344,50 +390,34 @@ func Run(s Scenario) (*RunResult, error) {
 			}
 		}()
 	}
-	if shards > 1 {
-		sr, err := n.RunSharded(s.Horizon, shards)
+	var out runOutcome
+	if sp.shards > 1 {
+		sr, err := n.RunSharded(sp.horizon, sp.shards)
 		if err != nil {
-			return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
+			return fail("shard_error", err)
 		}
 		telemetry.RecordShards(hub, sr.Executed)
 		telemetry.RecordCoordinator(hub, sr.BarrierRounds, sr.FusedWindows)
+		out.shards = sr
 	} else {
-		n.Run(s.Horizon)
+		out.shards = &netsim.ShardRun{Executed: []int64{int64(n.Run(sp.horizon))}}
 	}
-	res := &RunResult{
-		Scenario:    s,
-		Flows:       n.Flows(),
-		Link:        link,
-		Utilization: link.Utilization(s.Horizon),
-	}
-	res.Stream = ob.Finish(s.Horizon)
+	out.stream = ob.Finish(sp.horizon)
 	if ck != nil {
 		ck.Finish()
 		if err := ck.Err(); err != nil {
-			if hub.Enabled() {
-				hub.Registry.Counter("exp_runs_failed_total", "scenario runs that returned an error").Inc()
-				span.End(s.Horizon, telemetry.Str("outcome", "invariant_violation"))
-			}
-			return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
+			return fail("invariant_violation", err)
 		}
-		res.Digest = ck.Digest()
-		res.Checked = true
-	}
-	res.summarize()
-	if st != nil && cacheable {
-		if err := st.Put(recordFromResult(key, s, res)); err != nil {
-			return nil, fmt.Errorf("exp: scenario %q: %w", s.Name, err)
-		}
-		storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
+		out.digest, out.checked = ck.Digest(), true
 	}
 	if hub.Enabled() {
-		runSeconds.Observe(time.Since(started).Seconds())
+		hub.Registry.Histogram("exp_run_seconds", "wall time of one scenario run", telemetry.ExpBuckets(1e-3, 2, 18)).
+			Observe(time.Since(started).Seconds())
 		hub.Registry.Counter("exp_runs_finished_total", "scenario runs finished successfully").Inc()
-		span.End(s.Horizon, telemetry.Str("outcome", "ok"))
-		hub.Event("exp", "run_finish", s.Horizon,
-			telemetry.Str("scenario", s.Name),
-			telemetry.F64("utilization", res.Utilization),
-			telemetry.Str("digest", fmt.Sprintf("%016x", res.Digest)))
+		span.End(sp.horizon, telemetry.Str("outcome", "ok"))
+		hub.Event("exp", "run_finish", sp.horizon,
+			telemetry.Str("scenario", sp.name),
+			telemetry.Str("digest", fmt.Sprintf("%016x", out.digest)))
 	}
-	return res, nil
+	return out, nil
 }

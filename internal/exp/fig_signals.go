@@ -9,6 +9,12 @@ import (
 	"repro/internal/netsim"
 )
 
+// Fig. 4 and Fig. 5 are the two experiments that do not go through Run:
+// they step a manual controller's rate while the simulation is paused
+// between horizons, so they are not whole-run scenarios. They build and
+// drive their own networks, and are the only runs that ForceCheck,
+// Telemetry and Obs do not see.
+
 // Fig4Row is one sample of the Fig. 4 study: how throughput, RTT, and loss
 // respond as a single flow ramps its sending rate through the three queue
 // phases (empty → queuing → overflowing).

@@ -11,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/runstore"
-	"repro/internal/simcheck"
 )
 
 // This file builds the huge-scale stress scenario behind
@@ -162,61 +161,36 @@ func BuildHuge(o HugeOptions) (*netsim.Network, HugeOptions) {
 func RunHuge(o HugeOptions) (*HugeResult, error) {
 	customCC := o.CC != nil
 	o.defaults()
-	st := Store
-	key, cacheable := runstore.Key{}, false
-	if st != nil {
-		key, cacheable = HugeKey(o, customCC)
-		if cacheable && StoreResume {
-			if rec, ok := st.Get(key); ok {
-				storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
-				return hugeFromRecord(o, rec), nil
-			}
-			storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
-		}
+	slot, rec := lookupStore(HugeKey(o, customCC))
+	if rec != nil {
+		return hugeFromRecord(o, rec), nil
 	}
-	liveRuns.Add(1)
 	n, o := BuildHuge(o)
-	var ck *simcheck.Checker
-	if o.Check || ForceCheck {
-		ck = simcheck.Attach(n)
-	}
-	var ob *obs.Observer
-	if Obs != nil {
-		shards := o.Shards
-		if shards > o.Segments {
-			shards = o.Segments
-		}
-		ob = Obs.Attach(n, shards)
-		if ck != nil {
-			ck.SetViolationHook(func(v simcheck.Violation) { ob.NoteViolation(v.Time, v.Rule) })
-		}
-	}
-	sr, err := n.RunSharded(o.Horizon, o.Shards)
+	out, err := simulate(n, runSpec{
+		name: hugeName(o), seed: o.Seed, horizon: o.Horizon, check: o.Check,
+		shards: o.Shards, obsShards: min(o.Shards, o.Segments),
+	})
 	if err != nil {
-		return nil, fmt.Errorf("exp: huge: %w", err)
+		return nil, err
 	}
 	res := &HugeResult{
 		FlowCount:        o.TotalFlows,
 		Segments:         o.Segments,
-		ShardCount:       sr.Partition.Shards,
-		ExecutedPerShard: sr.Executed,
+		ShardCount:       len(out.shards.Executed),
+		ExecutedPerShard: out.shards.Executed,
+		Digest:           out.digest,
+		Stream:           out.stream,
 	}
-	for _, e := range sr.Executed {
+	for _, e := range res.ExecutedPerShard {
 		res.Events += e
 	}
-	res.Stream = ob.Finish(o.Horizon)
-	if ck != nil {
-		ck.Finish()
-		if err := ck.Err(); err != nil {
-			return nil, fmt.Errorf("exp: huge: %w", err)
-		}
-		res.Digest = ck.Digest()
-	}
-	if st != nil && cacheable {
-		if err := st.Put(hugeRecord(key, o, res)); err != nil {
-			return nil, fmt.Errorf("exp: huge: %w", err)
-		}
-		storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
+	if err := slot.put(func() *runstore.Record { return hugeRecord(o, res) }); err != nil {
+		return nil, fmt.Errorf("exp: huge: %w", err)
 	}
 	return res, nil
+}
+
+// hugeName labels a resolved mesh in spans, errors and store records.
+func hugeName(o HugeOptions) string {
+	return fmt.Sprintf("huge-%dseg-%dflows", o.Segments, o.TotalFlows)
 }

@@ -38,7 +38,9 @@ func (o *MultiBottleneckOptions) defaults() {
 	}
 }
 
-// RunMultiBottleneck runs the parking-lot topology with Jury on all flows.
+// RunMultiBottleneck runs the parking-lot topology with Jury on all flows
+// through the shared run core, so it is checked, instrumented and observed
+// like every Run.
 func RunMultiBottleneck(o MultiBottleneckOptions) (*MultiBottleneckResult, error) {
 	o.defaults()
 	n := netsim.New(netsim.Config{Seed: o.Seed})
@@ -60,7 +62,13 @@ func RunMultiBottleneck(o MultiBottleneckOptions) (*MultiBottleneckResult, error
 	long := addFlow("long", []*netsim.Link{l1, l2}, 1)
 	c1 := addFlow("cross1", []*netsim.Link{l1}, 2)
 	c2 := addFlow("cross2", []*netsim.Link{l2}, 3)
-	n.Run(o.Lifetime)
+	// Sequential, whatever DefaultShards says: a sharded parking lot may
+	// diverge from the sequential run on a drop at a foreign shard.
+	if _, err := simulate(n, runSpec{
+		name: "multibtl", seed: o.Seed, horizon: o.Lifetime, shards: 1, obsShards: 1,
+	}); err != nil {
+		return nil, err
+	}
 
 	from := o.Lifetime / 2
 	res := &MultiBottleneckResult{

@@ -95,35 +95,6 @@ func TestRunManyEmpty(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversAllIndices(t *testing.T) {
-	const n = 100
-	var counts [n]atomic.Int64
-	if err := parallelFor(n, func(i int) error {
-		counts[i].Add(1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		if c := counts[i].Load(); c != 1 {
-			t.Fatalf("index %d ran %d times", i, c)
-		}
-	}
-	sentinel := errors.New("boom")
-	err := parallelFor(n, func(i int) error {
-		if i > 39 {
-			return fmt.Errorf("fail %d", i)
-		}
-		if i == 39 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("parallelFor error %v, want the lowest-index failure %v", err, sentinel)
-	}
-}
-
 // BenchmarkScenario measures a full scenario simulation — the unit of work
 // RunMany distributes. Allocations here are dominated by the per-step hot
 // path (event scheduling, packets, NN inference), so allocs/op tracks the

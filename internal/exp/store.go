@@ -5,12 +5,10 @@ package exp
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/runstore"
 	"repro/internal/telemetry"
 	"repro/internal/traces"
@@ -70,6 +68,47 @@ func AttachStore(st *runstore.Store, resume bool) {
 	hub.Registry.GaugeFunc("runstore_records",
 		"distinct run records in the attached store",
 		func() float64 { return float64(st.Len()) })
+}
+
+// storeSlot is one run's place in the attached run store; the zero value
+// (no store attached, or a run that is not cacheable) stores nothing.
+type storeSlot struct {
+	st  *runstore.Store
+	key runstore.Key
+}
+
+// lookupStore binds a run with the given content key to the attached store.
+// It also returns the stored record when the store is resumable and
+// already holds the key — the caller then serves that instead of
+// simulating.
+func lookupStore(key runstore.Key, cacheable bool) (storeSlot, *runstore.Record) {
+	st := Store
+	if st == nil || !cacheable {
+		return storeSlot{}, nil
+	}
+	if StoreResume {
+		if rec, ok := st.Get(key); ok {
+			storeCounter("runstore_hits_total", "sweep runs served from the run store").Inc()
+			return storeSlot{}, rec
+		}
+		storeCounter("runstore_misses_total", "sweep runs not found in the run store").Inc()
+	}
+	return storeSlot{st, key}, nil
+}
+
+// put appends the completed run's record under the slot's key; record is
+// only called when there is a store to append to.
+func (s storeSlot) put(record func() *runstore.Record) error {
+	if s.st == nil {
+		return nil
+	}
+	rec := record()
+	rec.Key = s.key
+	if err := s.st.Put(rec); err != nil {
+		return err
+	}
+	storeCounter("runstore_appends_total", "run records appended to the run store").Inc()
+	return nil
 }
 
 // storeCounter returns the named hub counter, or a nil (no-op) counter when
@@ -227,9 +266,8 @@ func HugeKey(o HugeOptions, customCC bool) (key runstore.Key, ok bool) {
 }
 
 // recordFromResult converts a completed live run into its stored form.
-func recordFromResult(key runstore.Key, s Scenario, r *RunResult) *runstore.Record {
+func recordFromResult(s Scenario, r *RunResult) *runstore.Record {
 	rec := &runstore.Record{
-		Key:         key,
 		Scenario:    s.Name,
 		Schemes:     scenarioSchemes(s),
 		Seed:        s.Seed,
@@ -256,53 +294,8 @@ func recordFromResult(key runstore.Key, s Scenario, r *RunResult) *runstore.Reco
 		}
 		rec.Flows = append(rec.Flows, fr)
 	}
-	rec.Stream = streamToRecord(r.Stream)
+	rec.Stream = r.Stream
 	return rec
-}
-
-// streamToRecord / streamFromRecord convert between the live obs summary and
-// its stored mirror (field-for-field; the mirror exists so runstore never
-// imports obs).
-func streamToRecord(s *obs.StreamSummary) *runstore.StreamSummary {
-	if s == nil {
-		return nil
-	}
-	return &runstore.StreamSummary{
-		FinalJain:     s.FinalJain,
-		MinWindowJain: s.MinWindowJain,
-		Snapshots:     s.Snapshots,
-		Samples:       s.Samples,
-		RateP50:       s.RateP50,
-		RateP95:       s.RateP95,
-		RateP99:       s.RateP99,
-		RTTP50:        s.RTTP50,
-		RTTP95:        s.RTTP95,
-		RTTP99:        s.RTTP99,
-		Drops:         s.Drops,
-		Faults:        s.Faults,
-		Degraded:      s.Degraded,
-	}
-}
-
-func streamFromRecord(s *runstore.StreamSummary) *obs.StreamSummary {
-	if s == nil {
-		return nil
-	}
-	return &obs.StreamSummary{
-		FinalJain:     s.FinalJain,
-		MinWindowJain: s.MinWindowJain,
-		Snapshots:     s.Snapshots,
-		Samples:       s.Samples,
-		RateP50:       s.RateP50,
-		RateP95:       s.RateP95,
-		RateP99:       s.RateP99,
-		RTTP50:        s.RTTP50,
-		RTTP95:        s.RTTP95,
-		RTTP99:        s.RTTP99,
-		Drops:         s.Drops,
-		Faults:        s.Faults,
-		Degraded:      s.Degraded,
-	}
 }
 
 // scenarioSchemes lists the distinct schemes of a scenario in flow order.
@@ -345,15 +338,14 @@ func resultFromRecord(s Scenario, rec *runstore.Record) *RunResult {
 			lateMeanBps: f.LateMeanBps,
 		})
 	}
-	r.Stream = streamFromRecord(rec.Stream)
+	r.Stream = rec.Stream
 	return r
 }
 
 // hugeRecord converts a completed RunHuge into its stored form.
-func hugeRecord(key runstore.Key, o HugeOptions, res *HugeResult) *runstore.Record {
+func hugeRecord(o HugeOptions, res *HugeResult) *runstore.Record {
 	return &runstore.Record{
-		Key:           key,
-		Scenario:      fmt.Sprintf("huge-%dseg-%dflows", o.Segments, o.TotalFlows),
+		Scenario:      hugeName(o),
 		Schemes:       []string{"cubic"},
 		Seed:          o.Seed,
 		Horizon:       o.Horizon,
@@ -361,7 +353,7 @@ func hugeRecord(key runstore.Key, o HugeOptions, res *HugeResult) *runstore.Reco
 		Checked:       res.Digest != 0,
 		Events:        res.Events,
 		ShardExecuted: append([]int64(nil), res.ExecutedPerShard...),
-		Stream:        streamToRecord(res.Stream),
+		Stream:        res.Stream,
 	}
 }
 
@@ -376,6 +368,6 @@ func hugeFromRecord(o HugeOptions, rec *runstore.Record) *HugeResult {
 		Events:           rec.Events,
 		ExecutedPerShard: append([]int64(nil), rec.ShardExecuted...),
 		Digest:           rec.Digest,
-		Stream:           streamFromRecord(rec.Stream),
+		Stream:           rec.Stream,
 	}
 }

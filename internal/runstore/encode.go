@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 const (
@@ -295,7 +296,7 @@ func decodeRecord(b []byte) (*Record, error) {
 		}
 	}
 	if r.boolean() {
-		s := &StreamSummary{}
+		s := &obs.StreamSummary{}
 		s.FinalJain = r.f64()
 		s.MinWindowJain = r.f64()
 		s.Snapshots = r.i64()

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/obs"
 )
 
 // Key is the 256-bit content address of a run: a SHA-256 over the canonical
@@ -70,27 +71,6 @@ type FlowRecord struct {
 	Series      []netsim.SeriesPoint
 }
 
-// StreamSummary is the compact streaming-observability digest of a run
-// (obs.StreamSummary, mirrored here so the store stays free of upper-layer
-// imports): the final and worst windowed Jain, sketch percentiles of rate
-// and RTT, and the fault/degradation counters. It is what a million-flow
-// record keeps instead of per-flow series.
-type StreamSummary struct {
-	FinalJain     float64
-	MinWindowJain float64
-	Snapshots     int64
-	Samples       int64
-	RateP50       float64
-	RateP95       float64
-	RateP99       float64
-	RTTP50        float64
-	RTTP95        float64
-	RTTP99        float64
-	Drops         int64
-	Faults        int64
-	Degraded      int64
-}
-
 // Record is one stored run.
 type Record struct {
 	Key      Key
@@ -98,8 +78,9 @@ type Record struct {
 	Schemes  []string // distinct CC schemes of the run, in flow order
 	Seed     uint64
 	// AppendedAt is the wall-clock unix-nanosecond timestamp of the append;
-	// Put stamps it when zero. It drives the time-range query only — it is
-	// deliberately excluded from the key and from any result data.
+	// Put stamps it when zero. Only `juryexp store ls` reads it (to show
+	// when a run was recorded) — it is deliberately excluded from the key
+	// and from any result data.
 	AppendedAt int64
 	Horizon    time.Duration
 	Digest     uint64 // simcheck digest (zero unless Checked)
@@ -117,9 +98,12 @@ type Record struct {
 	Events        int64
 	ShardExecuted []int64
 
-	// Stream is the streaming-observability summary of the run; nil when the
-	// run executed without the obs layer attached.
-	Stream *StreamSummary
+	// Stream is the streaming-observability summary of the run: the final
+	// and worst windowed Jain, sketch percentiles of rate and RTT, and the
+	// fault/degradation counters. It is what a million-flow record keeps
+	// instead of per-flow series; nil when the run executed without the obs
+	// layer attached.
+	Stream *obs.StreamSummary
 }
 
 // Policy selects when the WAL is fsynced.

@@ -343,46 +343,6 @@ func (s *Store) Records() []*Record {
 	return out
 }
 
-func (s *Store) selectRecords(keep func(*Record) bool) []*Record {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []*Record
-	for _, r := range s.recs {
-		if keep(r) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// ByScenario returns the records whose scenario label matches name.
-func (s *Store) ByScenario(name string) []*Record {
-	return s.selectRecords(func(r *Record) bool { return r.Scenario == name })
-}
-
-// ByScheme returns the records that ran scheme.
-func (s *Store) ByScheme(scheme string) []*Record {
-	return s.selectRecords(func(r *Record) bool {
-		for _, sc := range r.Schemes {
-			if sc == scheme {
-				return true
-			}
-		}
-		return false
-	})
-}
-
-// ByDigest returns the records whose simcheck digest matches d.
-func (s *Store) ByDigest(d uint64) []*Record {
-	return s.selectRecords(func(r *Record) bool { return r.Checked && r.Digest == d })
-}
-
-// Between returns the records appended in [from, to).
-func (s *Store) Between(from, to time.Time) []*Record {
-	lo, hi := from.UnixNano(), to.UnixNano()
-	return s.selectRecords(func(r *Record) bool { return r.AppendedAt >= lo && r.AppendedAt < hi })
-}
-
 // Repair returns what startup repair found.
 func (s *Store) Repair() RepairReport {
 	s.mu.Lock()

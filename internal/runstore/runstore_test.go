@@ -185,39 +185,37 @@ func TestAutoCompaction(t *testing.T) {
 	requireSameRecords(t, re.Records(), recs)
 }
 
-func TestQueries(t *testing.T) {
+// TestRecordsSurviveCompaction: Records and Len answer identically — same
+// records, same insertion order, same append stamps — with the records in
+// the WAL, after Compact moves them into the snapshot, and after reopening
+// from that snapshot.
+func TestRecordsSurviveCompaction(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, Options{Dir: dir})
-	defer st.Close()
-	recs := randRecords(11, 6)
-	recs[0].Scenario, recs[3].Scenario = "same", "same"
-	recs[1].Schemes = []string{"jury", "cubic"}
-	recs[2].Checked, recs[2].Digest = true, 0xfeed
-	recs[4].AppendedAt, recs[5].AppendedAt = 100, 200
+	recs := randRecords(99, 40)
+	base := time.Unix(1700000000, 0)
+	for i, r := range recs {
+		r.AppendedAt = base.Add(time.Duration(i) * time.Second).UnixNano()
+	}
 	putAll(t, st, recs)
-
-	if got := st.ByScenario("same"); len(got) != 2 || got[0] != recs[0] || got[1] != recs[3] {
-		t.Fatalf("ByScenario(same) = %v", got)
-	}
-	found := false
-	for _, r := range st.ByScheme("cubic") {
-		if r == recs[1] {
-			found = true
+	check := func(label string, s *Store) {
+		t.Helper()
+		if s.Len() != len(recs) {
+			t.Fatalf("%s: Len = %d, want %d", label, s.Len(), len(recs))
 		}
+		requireSameRecords(t, s.Records(), recs)
 	}
-	if !found {
-		t.Fatal("ByScheme(cubic) missed the record")
+	check("before compaction", st)
+	if err := st.Compact(); err != nil {
+		t.Fatal(err)
 	}
-	if got := st.ByDigest(0xfeed); len(got) != 1 || got[0] != recs[2] {
-		t.Fatalf("ByDigest = %v", got)
+	check("after compaction", st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
 	}
-	got := st.Between(time.Unix(0, 100), time.Unix(0, 201))
-	if len(got) != 2 || got[0] != recs[4] || got[1] != recs[5] {
-		t.Fatalf("Between = %v", got)
-	}
-	if st.Len() != len(recs) {
-		t.Fatalf("Len = %d, want %d", st.Len(), len(recs))
-	}
+	st2 := mustOpen(t, Options{Dir: dir})
+	defer st2.Close()
+	check("after reopen", st2)
 }
 
 // TestLastWinsAndDigestMismatch: re-putting a key replaces the record in

@@ -24,7 +24,6 @@ type juryCounters interface {
 // and it only reads — never schedules events or draws randomness — so an
 // instrumented run is digest-identical to a bare one.
 type SimObserver struct {
-	net    *netsim.Network
 	tracer *Tracer
 
 	pktSent   *Counter
@@ -47,7 +46,6 @@ func AttachSim(n *netsim.Network, h *Hub) *SimObserver {
 	}
 	r := h.Registry
 	o := &SimObserver{
-		net:       n,
 		tracer:    h.Tracer,
 		pktSent:   r.Counter("sim_packets_sent_total", "packets transmitted by all flows"),
 		pktAcked:  r.Counter("sim_packets_acked_total", "acknowledgments delivered to senders"),
@@ -155,7 +153,9 @@ func (o *SimObserver) QueueDeparted(l *netsim.Link, bytes int) {}
 
 // QueueDropped implements netsim.Tap: a counter plus a structured event
 // (drops are rare enough to log individually, and a drop timeline is
-// exactly what a degrading robustness case needs explained).
+// exactly what a degrading robustness case needs explained). The event
+// takes the link's own clock: in a sharded run the tap fires on the link's
+// shard, where reading another shard's engine would race.
 func (o *SimObserver) QueueDropped(l *netsim.Link, bytes int, random bool) {
 	o.qDrops.Inc()
 	if o.tracer != nil {
@@ -163,7 +163,7 @@ func (o *SimObserver) QueueDropped(l *netsim.Link, bytes int, random bool) {
 		if random {
 			kind = "random"
 		}
-		o.tracer.Event("sim", "drop", o.net.Now(), Str("kind", kind), I64("bytes", int64(bytes)))
+		o.tracer.Event("sim", "drop", l.Now(), Str("kind", kind), I64("bytes", int64(bytes)))
 	}
 }
 
@@ -200,7 +200,7 @@ func (o *SimObserver) SampleRecorded(f *netsim.Flow, p netsim.SeriesPoint) {}
 func (o *SimObserver) FaultInjected(l *netsim.Link, f *netsim.Flow, kind netsim.FaultKind, bytes int) {
 	o.faults.Inc()
 	if o.tracer != nil {
-		o.tracer.Event("sim", "fault", o.net.Now(),
+		o.tracer.Event("sim", "fault", l.Now(),
 			Str("kind", kind.String()), Str("flow", f.Name()), I64("bytes", int64(bytes)))
 	}
 }

@@ -4,8 +4,9 @@
 # Runs formatting, vet, build, the short test suite, the race detector over
 # every package, and short fuzz smokes on the wire/trace parsers. The full
 # suite (go test ./...) adds the full-scale emulation tests gated behind
-# -short; JURY_SIMCHECK=1 additionally audits every experiment scenario with
-# the simcheck invariant checker (exp's own tests always do).
+# -short; JURY_SIMCHECK=1 additionally audits every whole-run experiment
+# (everything but Fig. 4/5, which step a manual rate mid-run) with the
+# simcheck invariant checker (exp's own tests always do).
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -61,6 +62,9 @@ go test -race -run '^TestChaosBusyStorm$' -count=20 ./internal/agentrpc
 
 echo "== run store: crash matrix + bit-flip sweep under the race detector"
 go test -race -short -run '^(TestCrashMatrix|TestCompactionCrashMatrix|TestBitFlipSweep)$' -count=1 ./internal/runstore
+
+echo "== one run pipeline: pinned table/ablation/parking-lot rows + instrument coverage"
+go test -run '^(TestPipelinePinnedRows|TestPipelineCoversEveryRun)$' -count=1 ./internal/exp
 
 echo "== run store: warm-sweep skip + kill-and-resume"
 go test -run '^(TestRunManyWarmStoreSkipsSimulation|TestKillAndResumeSweep|TestRetryPathLeavesStoreIntact|TestScenarioKeyStability)$' -count=1 ./internal/exp
