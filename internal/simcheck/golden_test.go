@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cc"
+	"repro/internal/cc/bbr"
 	"repro/internal/cc/cubic"
 	"repro/internal/core"
 )
@@ -40,6 +41,19 @@ var goldenScenarios = []struct {
 		n, ck := buildDumbbell(43, 30e6, 10*time.Millisecond, bdpBytes(30e6, 20*time.Millisecond)*3/2, 0.003, 2,
 			func(i int) cc.Algorithm { return core.NewDefault(uint64(i) + 3) })
 		n.Run(8 * time.Second)
+		if vs := ck.Finish(); len(vs) > 0 {
+			t.Fatalf("violations: %v", vs)
+		}
+		return ck
+	}},
+	// A short high-rate paced run: BBR's gain cycle moves the pacing rate
+	// every phase, so the send timer is re-armed both at its pending time
+	// (ACKs while pacing-blocked) and at fresh times, pinning the engine's
+	// timer re-arm path against the plain cancel-and-schedule stream.
+	{"bbr-paced-dumbbell", func(t *testing.T) *Checker {
+		n, ck := buildDumbbell(47, 200e6, 10*time.Millisecond, bdpBytes(200e6, 20*time.Millisecond), 0, 2,
+			func(int) cc.Algorithm { return bbr.New() })
+		n.Run(3 * time.Second)
 		if vs := ck.Finish(); len(vs) > 0 {
 			t.Fatalf("violations: %v", vs)
 		}
