@@ -246,21 +246,31 @@ func (f *Flow) Series() []SeriesPoint { return f.series }
 // without cross-shard races.
 func (f *Flow) Shard() int { return f.shard }
 
-// reserveSeries sizes the series backing array to record through the given
-// horizon, so recordTick appends never reallocate mid-run. Fresh flows are
-// carved out of the network's shared backing block (one allocation per
-// ~16k samples instead of one per flow); a flow that already recorded
-// samples grows privately.
-func (f *Flow) reserveSeries(horizon time.Duration) {
+// seriesGrowth is how many more samples the series must hold to record
+// through horizon (0 when it already has room).
+func (f *Flow) seriesGrowth(horizon time.Duration) int {
 	end := horizon
 	if f.cfg.Duration > 0 && f.cfg.Start+f.cfg.Duration < end {
 		end = f.cfg.Start + f.cfg.Duration
 	}
 	if end <= f.cfg.Start {
-		return
+		return 0
 	}
 	need := int((end-f.cfg.Start)/f.net.cfg.RecordInterval) + 2
 	if cap(f.series)-len(f.series) >= need {
+		return 0
+	}
+	return need
+}
+
+// reserveSeries sizes the series backing array to record through the given
+// horizon, so recordTick appends never reallocate mid-run. Fresh flows are
+// carved out of the network's shared backing block (Network.reserveSeries
+// sizes it for all of them); a flow that already recorded samples grows
+// privately.
+func (f *Flow) reserveSeries(horizon time.Duration) {
+	need := f.seriesGrowth(horizon)
+	if need == 0 {
 		return
 	}
 	if len(f.series) == 0 {
@@ -388,8 +398,7 @@ func (f *Flow) trySend() {
 }
 
 func (f *Flow) armSendTimer(at time.Duration) {
-	f.sendTimer.Cancel()
-	f.sendTimer = f.eng.ScheduleArg(at, flowTrySend, f)
+	f.sendTimer = f.eng.RearmArg(f.sendTimer, at, flowTrySend, f)
 }
 
 // allocPacket takes a packet from the shard's arena and stamps it for this

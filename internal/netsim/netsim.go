@@ -104,8 +104,32 @@ type Network struct {
 	seriesFree []SeriesPoint
 }
 
-// flowSlabBlock is how many Flow structs one slab allocation holds.
-const flowSlabBlock = 512
+// flowSlabBlock is the most Flow structs one slab allocation holds. Blocks
+// start at flowSlabMin and double with the flow count up to it, so a
+// two-flow dumbbell does not pay for a 512-flow block.
+const (
+	flowSlabMin   = 4
+	flowSlabBlock = 512
+)
+
+// reserveSeries sizes every flow's series to record through horizon. The
+// flows that need fresh storage share one backing block sized to exactly
+// their total need, so a run pays one allocation for all its series and
+// no more than it records.
+func (n *Network) reserveSeries(horizon time.Duration) {
+	fresh := 0
+	for _, f := range n.flows {
+		if len(f.series) == 0 {
+			fresh += f.seriesGrowth(horizon)
+		}
+	}
+	if len(n.seriesFree) < fresh {
+		n.seriesFree = make([]SeriesPoint, fresh)
+	}
+	for _, f := range n.flows {
+		f.reserveSeries(horizon)
+	}
+}
 
 // carveSeries hands out a zero-length slice with exactly need capacity from
 // the shared backing block. The three-index slice caps the result so an
@@ -113,11 +137,7 @@ const flowSlabBlock = 512
 // clobbering a neighbour's samples.
 func (n *Network) carveSeries(need int) []SeriesPoint {
 	if len(n.seriesFree) < need {
-		size := 16384
-		if size < need {
-			size = need
-		}
-		n.seriesFree = make([]SeriesPoint, size)
+		n.seriesFree = make([]SeriesPoint, need)
 	}
 	out := n.seriesFree[0:0:need]
 	n.seriesFree = n.seriesFree[need:]
@@ -260,7 +280,7 @@ func (n *Network) AddFlow(cfg FlowConfig) *Flow {
 		panic("netsim: flow without CC factory or Alg")
 	}
 	if len(n.flowSlab) == 0 {
-		n.flowSlab = make([]Flow, flowSlabBlock)
+		n.flowSlab = make([]Flow, min(max(len(n.flows), flowSlabMin), flowSlabBlock))
 	}
 	f := &n.flowSlab[0]
 	n.flowSlab = n.flowSlab[1:]
@@ -281,8 +301,8 @@ func (n *Network) Run(horizon time.Duration) int {
 	n.installWindowHook()
 	for _, f := range n.flows {
 		f.armStart()
-		f.reserveSeries(horizon)
 	}
+	n.reserveSeries(horizon)
 	return n.eng.Run(horizon)
 }
 

@@ -299,8 +299,8 @@ func (n *Network) RunSharded(horizon time.Duration, maxShards int) (*ShardRun, e
 	}
 	for _, f := range n.flows {
 		f.armStart()
-		f.reserveSeries(horizon)
 	}
+	n.reserveSeries(horizon)
 	coord.Run(horizon)
 	return &ShardRun{
 		Partition:     p,

@@ -28,7 +28,7 @@ import (
 // flow) would be almost entirely dead weight.
 const (
 	sendIntervalRing = 1024
-	sendIntervalMin  = 64
+	sendIntervalMin  = 16
 )
 
 // sendInterval aggregates the fate of packets sent during one interval.

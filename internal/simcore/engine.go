@@ -34,10 +34,14 @@ type Event struct {
 	argFn func(any)
 	arg   any
 
+	// next links the events parked in one timer-wheel slot (nil otherwise).
+	next *Event
+
+	gen uint64 // bumped on recycle; Timer handles check it
+
 	// index is the event's heap slot when >= 0, idxWheel (-2) while parked
 	// in a timer-wheel slot, and idxFree (-1) when not queued at all.
-	index     int
-	gen       uint64 // bumped on recycle; Timer handles check it
+	index     int32
 	cancelled bool
 }
 
@@ -101,19 +105,61 @@ func eventBefore(a, b *Event) bool {
 // push appends ev and sifts it up to its position.
 func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
-	q := *h
-	i := len(q) - 1
+	h.up(ev, len(*h)-1)
+}
+
+// up places ev at hole i or above, moving larger ancestors down.
+func (h eventHeap) up(ev *Event, i int) {
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventBefore(ev, q[p]) {
+		if !eventBefore(ev, h[p]) {
 			break
 		}
-		q[i] = q[p]
-		q[i].index = i
+		h[i] = h[p]
+		h[i].index = int32(i)
 		i = p
 	}
-	q[i] = ev
-	ev.index = i
+	h[i] = ev
+	ev.index = int32(i)
+}
+
+// down places ev at hole i or below, moving smaller children up.
+func (h eventHeap) down(ev *Event, i int) {
+	n := len(h)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		m := c
+		for j := c + 1; j < end; j++ {
+			if eventBefore(h[j], h[m]) {
+				m = j
+			}
+		}
+		if !eventBefore(h[m], ev) {
+			break
+		}
+		h[i] = h[m]
+		h[i].index = int32(i)
+		i = m
+	}
+	h[i] = ev
+	ev.index = int32(i)
+}
+
+// fix restores heap order after the key of the event at slot i changed.
+func (h eventHeap) fix(i int) {
+	ev := h[i]
+	if i > 0 && eventBefore(ev, h[(i-1)/4]) {
+		h.up(ev, i)
+	} else {
+		h.down(ev, i)
+	}
 }
 
 // popMin removes and returns the earliest event.
@@ -126,35 +172,10 @@ func (h *eventHeap) popMin() *Event {
 	q = q[:n]
 	*h = q
 	top.index = idxFree
-	if n == 0 {
-		return top
+	if n > 0 {
+		// Sift the displaced last element down from the root.
+		q.down(ev, 0)
 	}
-	// Sift the displaced last element down from the root.
-	i := 0
-	for {
-		c := 4*i + 1
-		if c >= n {
-			break
-		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		m := c
-		for j := c + 1; j < end; j++ {
-			if eventBefore(q[j], q[m]) {
-				m = j
-			}
-		}
-		if !eventBefore(q[m], ev) {
-			break
-		}
-		q[i] = q[m]
-		q[i].index = i
-		i = m
-	}
-	q[i] = ev
-	ev.index = i
 	return top
 }
 
@@ -293,6 +314,37 @@ func (e *Engine) ScheduleArg(at time.Duration, fn func(any), arg any) Timer {
 	ev.argFn = fn
 	ev.arg = arg
 	return Timer{ev: ev, gen: ev.gen}
+}
+
+// RearmArg is t.Cancel() followed by ScheduleArg(at, fn, arg), without the
+// cancelled event left behind in the queue: when t's event is still queued
+// and live at exactly at, it is re-keyed in place to the key a fresh
+// ScheduleArg would give it — schedule time Now and the next sequence
+// number — and keeps its handle. Any other case (a different time, an
+// inert, stale, fired or cancelled handle) takes the plain cancel-and-
+// schedule path. Either way the queue then holds the same live events
+// under the same keys, so the executed (at, seq) stream is identical.
+//
+// Paced senders re-arm their send timer for the same pending time on
+// almost every ACK; in place, that costs one heap sift (or nothing for a
+// wheel-parked event, whose slot depends only on at) instead of a dead
+// event that every later pop has to sift past.
+func (e *Engine) RearmArg(t Timer, at time.Duration, fn func(any), arg any) Timer {
+	ev := t.ev
+	if ev == nil || ev.gen != t.gen || ev.cancelled || ev.index == idxFree || ev.at != at {
+		t.Cancel()
+		return e.ScheduleArg(at, fn, arg)
+	}
+	ev.schedAt = e.now
+	ev.seq = e.nextSeq
+	e.nextSeq++
+	ev.fn = nil
+	ev.argFn = fn
+	ev.arg = arg
+	if ev.index >= 0 {
+		e.queue.heap.fix(int(ev.index))
+	}
+	return t
 }
 
 // ScheduleArgAfter queues fn(arg) after delay d from the current time.

@@ -119,3 +119,45 @@ func BenchmarkEngineSchedule(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEngineRearm measures the paced-sender pattern: a send timer one
+// packet gap (~34 us, a 1500 B packet at 350 Mbps) out is re-armed at its
+// pending time by each of three ACKs, then fires. 64 other flows keep their
+// 30 ms interval and 200 ms record ticks running, so the queue holds the
+// mix of near and far timers a paper-scale run does. "wheel" and
+// "heap-only" re-arm in place through RearmArg; "cancel-schedule" is the
+// same pattern through Cancel plus ScheduleArg, which leaves three dead
+// events per packet for later pops to drain.
+func BenchmarkEngineRearm(b *testing.B) {
+	const gap = 34 * time.Microsecond
+	run := func(b *testing.B, noWheel, inPlace bool) {
+		e := NewEngine()
+		e.queue.noWheel = noWheel
+		var tick func(any)
+		tick = func(a any) { e.ScheduleArgAfter(a.(time.Duration), tick, a) }
+		for i := 0; i < 64; i++ {
+			off := time.Duration(i) * 97 * time.Microsecond
+			e.ScheduleArg(off+30*time.Millisecond, tick, 30*time.Millisecond)
+			e.ScheduleArg(off+200*time.Millisecond, tick, 200*time.Millisecond)
+		}
+		send := func(any) {}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			at := e.Now() + gap
+			tm := e.ScheduleArg(at, send, nil)
+			for ack := 0; ack < 3; ack++ {
+				if inPlace {
+					tm = e.RearmArg(tm, at, send, nil)
+				} else {
+					tm.Cancel()
+					tm = e.ScheduleArg(at, send, nil)
+				}
+			}
+			e.Run(at)
+		}
+	}
+	b.Run("wheel", func(b *testing.B) { run(b, false, true) })
+	b.Run("heap-only", func(b *testing.B) { run(b, true, true) })
+	b.Run("cancel-schedule", func(b *testing.B) { run(b, false, false) })
+}

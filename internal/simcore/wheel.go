@@ -9,8 +9,8 @@ import "time"
 // Keeping all of them in one heap makes every schedule/cancel O(log n) with
 // n in the hundreds of thousands; the wheel parks far-out events in O(1)
 // slots and only migrates them into the heap when their slot comes due, so
-// the heap stays small (only events within the current ~half-millisecond
-// granule) and its log factor nearly vanishes.
+// the heap stays small (only events within the current ~65 us granule)
+// and its log factor nearly vanishes.
 //
 // Ordering contract. The engine's observable pop order must remain the exact
 // (at, schedAt, seq) total order of a pure heap — golden simcheck digests
@@ -30,13 +30,20 @@ import "time"
 // (at, schedAt, seq) key exactly as they would have in a heap-only engine.
 // Slot membership never orders events; only the heap does.
 //
-// Level 0 spans slot0Count slots of slot0Gran (~524 us) each, ~134 ms total;
-// level 1 spans slot1Count slots of slot1Gran (~134 ms) each, ~34 s total.
-// Events beyond level 1's horizon overflow into the heap directly — they are
-// rare (long idle timers), and the heap handles any time, so the wheel needs
-// no wraparound bookkeeping beyond the modulo slot index: an event whose
-// absolute slot number aliases an already-passed slot index just waits for
-// cur to come around again, which happens before it is due.
+// Level 0 spans slot0Count slots of slot0Gran (~65.5 us) each, ~16.8 ms
+// total; level 1 spans slot1Count slots of slot1Gran (~16.8 ms) each,
+// ~4.3 s total. Events beyond level 1's horizon overflow into the heap
+// directly — they are rare (flow start/stop times, long idle timers), and
+// the heap handles any time, so the wheel needs no wraparound bookkeeping
+// beyond the modulo slot index: an event whose absolute slot number aliases
+// an already-passed slot index just waits for cur to come around again,
+// which happens before it is due.
+//
+// The granule is sized to packet spacing: everything inside the current
+// granule sits in the heap, and at the paper's 350 Mbps a 1500 B packet
+// serializes in ~34 us, so a ~65.5 us granule holds about two packet gaps
+// per stream (2^19 ns held ~15, and every pop sifted past them). Finer
+// granules gain little and cost cursor steps and memory in sparse meshes.
 type timerWheel struct {
 	heap eventHeap
 
@@ -49,8 +56,11 @@ type timerWheel struct {
 	count0 int // events parked in slot0
 	count1 int // events parked in slot1
 
-	slot0 [slot0Count][]*Event
-	slot1 [slot1Count][]*Event
+	// Each slot is an intrusive singly-linked list through Event.next, in
+	// no particular order (slot membership never orders events), so
+	// parking an event never grows a slice.
+	slot0 [slot0Count]*Event
+	slot1 [slot1Count]*Event
 
 	// noWheel forces every push into the heap, turning the engine into the
 	// pre-wheel heap-only implementation. Tests use it to prove the wheel-fed
@@ -59,16 +69,16 @@ type timerWheel struct {
 }
 
 const (
-	slot0Shift = 19                    // slot0Gran = 2^19 ns ~ 524 us
+	slot0Shift = 16                    // slot0Gran = 2^16 ns ~ 65.5 us
 	slotBits   = 8                     // 256 slots per level
-	slot1Shift = slot0Shift + slotBits // slot1Gran = slot0 span ~ 134 ms
+	slot1Shift = slot0Shift + slotBits // slot1Gran = slot0 span ~ 16.8 ms
 	slot0Count = 1 << slotBits
 	slot1Count = 1 << slotBits
 
 	slot0Gran = time.Duration(1) << slot0Shift
 	slot1Gran = time.Duration(1) << slot1Shift
-	span0     = slot0Gran << slotBits // level-0 horizon ~ 134 ms
-	span1     = slot1Gran << slotBits // level-1 horizon ~ 34 s
+	span0     = slot0Gran << slotBits // level-0 horizon ~ 16.8 ms
+	span1     = slot1Gran << slotBits // level-1 horizon ~ 4.3 s
 )
 
 // Event index sentinels. Heap-resident events carry their heap slot (>= 0);
@@ -107,12 +117,14 @@ func (w *timerWheel) push(ev *Event, now time.Duration) {
 	case d < span0:
 		i := int(ev.at>>slot0Shift) & (slot0Count - 1)
 		ev.index = idxWheel
-		w.slot0[i] = append(w.slot0[i], ev)
+		ev.next = w.slot0[i]
+		w.slot0[i] = ev
 		w.count0++
 	case d < span1:
 		i := int(ev.at>>slot1Shift) & (slot1Count - 1)
 		ev.index = idxWheel
-		w.slot1[i] = append(w.slot1[i], ev)
+		ev.next = w.slot1[i]
+		w.slot1[i] = ev
 		w.count1++
 	default:
 		// Beyond the level-1 horizon: overflow into the heap.
@@ -160,16 +172,15 @@ func (w *timerWheel) advance() {
 // heap, restoring invariant (A) for the newly entered granule.
 func (w *timerWheel) flush() {
 	i := int(w.cur>>slot0Shift) & (slot0Count - 1)
-	s := w.slot0[i]
-	if len(s) == 0 {
-		return
-	}
-	for j, ev := range s {
-		s[j] = nil
+	ev := w.slot0[i]
+	w.slot0[i] = nil
+	for ev != nil {
+		next := ev.next
+		ev.next = nil
 		w.heap.push(ev)
+		w.count0--
+		ev = next
 	}
-	w.count0 -= len(s)
-	w.slot0[i] = s[:0]
 }
 
 // cascade re-places the level-1 slot whose boundary cur just reached. Each
@@ -178,21 +189,21 @@ func (w *timerWheel) flush() {
 // fits inside level 0's span.
 func (w *timerWheel) cascade() {
 	i := int(w.cur>>slot1Shift) & (slot1Count - 1)
-	s := w.slot1[i]
-	if len(s) == 0 {
-		return
-	}
-	w.count1 -= len(s)
-	w.slot1[i] = s[:0]
-	for j, ev := range s {
-		s[j] = nil
+	ev := w.slot1[i]
+	w.slot1[i] = nil
+	for ev != nil {
+		next := ev.next
+		w.count1--
 		if d := ev.at - w.cur; d < slot0Gran {
+			ev.next = nil
 			w.heap.push(ev)
 		} else {
 			k := int(ev.at>>slot0Shift) & (slot0Count - 1)
-			w.slot0[k] = append(w.slot0[k], ev)
+			ev.next = w.slot0[k]
+			w.slot0[k] = ev
 			w.count0++
 		}
+		ev = next
 	}
 }
 
@@ -205,17 +216,20 @@ func (w *timerWheel) live() int {
 		}
 	}
 	for i := range w.slot0 {
-		for _, ev := range w.slot0[i] {
-			if !ev.cancelled {
-				n++
-			}
-		}
+		n += liveIn(w.slot0[i])
 	}
 	for i := range w.slot1 {
-		for _, ev := range w.slot1[i] {
-			if !ev.cancelled {
-				n++
-			}
+		n += liveIn(w.slot1[i])
+	}
+	return n
+}
+
+// liveIn counts the uncancelled events in one slot's list.
+func liveIn(ev *Event) int {
+	n := 0
+	for ; ev != nil; ev = ev.next {
+		if !ev.cancelled {
+			n++
 		}
 	}
 	return n

@@ -8,6 +8,11 @@
 #
 #   scripts/bench.sh             # writes BENCH_harness.json in the repo root
 #   OUT=/tmp/b.json scripts/bench.sh
+#   REASON='...' scripts/bench.sh
+#                                # record mode refuses to overwrite a baseline
+#                                # in which any benchmark's allocs/op or B/op
+#                                # went up; REASON overrides that and is kept
+#                                # in the file's _meta
 #   scripts/bench.sh --smoke     # 1-iteration run: verifies the benchmarks
 #                                # still execute (check.sh calls this)
 #   scripts/bench.sh --compare   # re-run and fail on a >20% ns/op regression
@@ -16,7 +21,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-BENCHES='BenchmarkEngineSchedule|BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkReplaySample|BenchmarkTD3Update|BenchmarkScenario|BenchmarkServeBatch|BenchmarkServeLoopback'
+BENCHES='BenchmarkEngineSchedule|BenchmarkEngineRearm|BenchmarkMLPForward|BenchmarkMLPBackward|BenchmarkReplaySample|BenchmarkTD3Update|BenchmarkScenario|BenchmarkServeBatch|BenchmarkServeLoopback'
 
 MODE=record
 case "${1:-}" in
@@ -53,7 +58,7 @@ TMP=$(mktemp)
 JSONTMP=$(mktemp)
 trap 'rm -f "$TMP" "$JSONTMP"' EXIT
 
-go test -run '^$' -bench 'BenchmarkEngineSchedule' -benchmem ./internal/simcore | tee -a "$TMP"
+go test -run '^$' -bench 'BenchmarkEngineSchedule|BenchmarkEngineRearm' -benchmem ./internal/simcore | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkMLPForward|BenchmarkMLPBackward' -benchmem ./internal/nn | tee -a "$TMP"
 go test -run '^$' -bench 'BenchmarkReplaySample|BenchmarkTD3Update' -benchmem ./internal/rl | tee -a "$TMP"
 # The plain scenario and its obs-attached twin run back to back: the ns/op
@@ -75,20 +80,24 @@ go test -run '^$' -bench 'BenchmarkScenarioMillion' -benchtime 1x -benchmem -tim
 go test -run '^$' -bench 'BenchmarkServeBatch|BenchmarkServeLoopback' -benchmem ./internal/agentrpc | tee -a "$TMP"
 
 # The _meta entry records provenance (plus free-form NOTES from the caller,
-# e.g. shard-count speedup observations); --compare's parser only loads lines
-# naming a "Benchmark...", so it is ignored by the regression gate.
+# e.g. shard-count speedup observations, and the REASON for a re-baseline
+# over an allocation increase); --compare's parser only loads lines naming a
+# "Benchmark...", so it is ignored by the regression gate.
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 STAMP=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-awk -v commit="$COMMIT" -v stamp="$STAMP" -v notes="${NOTES:-}" '
+awk -v commit="$COMMIT" -v stamp="$STAMP" -v notes="${NOTES:-}" -v reason="${REASON:-}" '
 BEGIN {
     print "{"
     printf "  \"_meta\": {\"commit\": \"%s\", \"recorded_at\": \"%s\"", commit, stamp
     if (notes != "") printf ", \"notes\": \"%s\"", notes
+    if (reason != "") printf ", \"reason\": \"%s\"", reason
     printf "}"
     first = 0
 }
 /^Benchmark/ {
+    # Drop the -GOMAXPROCS suffix so baselines compare across machines.
     name = $1
+    sub(/-[0-9]+$/, "", name)
     nsop = ""; bop = ""; allocs = ""; eps = ""; dps = ""; bpf = ""; peak = ""
     for (i = 2; i <= NF; i++) {
         if ($(i) == "ns/op") nsop = $(i - 1)
@@ -114,8 +123,39 @@ BEGIN {
 END { print "\n}" }
 ' "$TMP" > "$JSONTMP"
 
+# Helpers shared by the record guard and --compare: bname extracts the
+# benchmark name a baseline line records, val one of its numeric fields.
+AWKLIB='
+function bname(line) {
+    if (!match(line, /"Benchmark[^"]*"/)) return ""
+    return substr(line, RSTART + 1, RLENGTH - 2)
+}
+function val(line, key,   re, s) {
+    re = "\"" key "\": *[0-9.]+"
+    if (!match(line, re)) return ""
+    s = substr(line, RSTART, RLENGTH)
+    sub("\"" key "\": *", "", s)
+    return s
+}
+'
+
 if [ "$MODE" = record ]; then
     OUT=${OUT:-BENCH_harness.json}
+    # A baseline is never silently re-recorded over an allocation regression:
+    # if any benchmark in both files allocates more (allocs/op or B/op), the
+    # old file stays unless REASON says why the new numbers are the baseline.
+    if [ -f "$OUT" ] && [ -z "${REASON:-}" ] && ! awk "$AWKLIB"'
+NR == FNR { if ((n = bname($0)) != "") { ba[n] = val($0, "allocs_per_op"); bb[n] = val($0, "bytes_per_op") } next }
+(n = bname($0)) != "" && (n in ba) {
+    a = val($0, "allocs_per_op"); by = val($0, "bytes_per_op")
+    if (a != "" && ba[n] != "" && a + 0 > ba[n] + 0) { printf "UP     %-50s allocs/op %s -> %s\n", n, ba[n], a; bad = 1 }
+    if (by != "" && bb[n] != "" && by + 0 > bb[n] + 0) { printf "UP     %-50s B/op %s -> %s\n", n, bb[n], by; bad = 1 }
+}
+END { exit bad }
+' "$OUT" "$JSONTMP"; then
+        echo "bench.sh: allocations rose vs $OUT; not overwriting it (set REASON='...' to re-baseline anyway)" >&2
+        exit 1
+    fi
     cp "$JSONTMP" "$OUT"
     echo "wrote $OUT"
     exit 0
@@ -132,21 +172,13 @@ if [ ! -f "$BASE" ]; then
     echo "bench.sh --compare: baseline $BASE not found" >&2
     exit 1
 fi
-awk '
-function load(line,   name, n, parts) {
-    if (!match(line, /"Benchmark[^"]*"/)) return ""
-    name = substr(line, RSTART + 1, RLENGTH - 2)
+awk "$AWKLIB"'
+function load(line,   name) {
+    if ((name = bname(line)) == "") return ""
     ns[name] = val(line, "ns_per_op")
     al[name] = val(line, "allocs_per_op")
     bf[name] = val(line, "bytes_per_flow")
     return name
-}
-function val(line, key,   re, s) {
-    re = "\"" key "\": *[0-9.]+"
-    if (!match(line, re)) return ""
-    s = substr(line, RSTART, RLENGTH)
-    sub("\"" key "\": *", "", s)
-    return s
 }
 NR == FNR { if ((n = load($0)) != "") { bns[n] = ns[n]; bal[n] = al[n]; bbf[n] = bf[n] } next }
 { load($0) }
