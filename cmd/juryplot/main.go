@@ -8,7 +8,8 @@
 //	juryplot -fig fig12 -out fig12.svg
 //
 // It can also render a telemetry trace captured with any binary's
-// -trace-out flag: the sim-domain "interval" events become a per-flow
+// -trace-out flag: the sim-domain "sample" events (one per recorded series
+// point, written when each run finishes) become a per-flow
 // throughput-over-virtual-time chart:
 //
 //	jurysim -scheme cubic,jury -trace-out run.jsonl
@@ -41,7 +42,7 @@ func main() {
 	}
 	var (
 		fig   = flag.String("fig", "", "figure id: fig1a fig1b fig4 fig5 fig7a..fig7h fig8 fig11a fig11b fig12 fig13a fig13b")
-		trace = flag.String("trace", "", "plot a telemetry JSONL trace (sim interval events) instead of a figure")
+		trace = flag.String("trace", "", "plot a telemetry JSONL trace (sim sample events) instead of a figure")
 		out   = flag.String("out", "", "output SVG path (default <fig>.svg or trace.svg)")
 		seed  = flag.Uint64("seed", 1, "random seed")
 		full  = flag.Bool("full", false, "run at the paper's full scale")
@@ -76,7 +77,7 @@ func main() {
 }
 
 // traceLine is the subset of a telemetry JSONL line the trace plot needs
-// (sim-domain "interval" events; everything else is skipped).
+// (sim-domain "sample" events; everything else is skipped).
 type traceLine struct {
 	T      string  `json:"t"`
 	Domain string  `json:"domain"`
@@ -105,7 +106,7 @@ func traceChart(path string) (*plot.Chart, error) {
 		if err := json.Unmarshal(sc.Bytes(), &tl); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", path, lines, err)
 		}
-		if tl.T != "event" || tl.Domain != "sim" || tl.Name != "interval" {
+		if tl.T != "event" || tl.Domain != "sim" || tl.Name != "sample" {
 			continue
 		}
 		s, ok := byFlow[tl.Flow]
@@ -121,7 +122,7 @@ func traceChart(path string) (*plot.Chart, error) {
 		return nil, err
 	}
 	if len(order) == 0 {
-		return nil, fmt.Errorf("%s: no sim interval events (was the trace captured with -trace-out?)", path)
+		return nil, fmt.Errorf("%s: no sim sample events (was the trace captured with -trace-out?)", path)
 	}
 	sort.Strings(order)
 	c := &plot.Chart{Title: "telemetry trace: " + path, XLabel: "virtual time (s)", YLabel: "throughput (Mbps)"}

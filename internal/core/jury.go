@@ -42,14 +42,14 @@ type Jury struct {
 	lastAction  float64
 	lastReward  float64
 	lastOcc     float64
-	intervals   atomic.Int64
+	intervals   int64
 
 	// Non-finite guard counters (see decide and applyAction): a congestion
 	// controller facing an adversarial network must never let NaN/Inf drive
 	// the window, it degrades to plain AIMD instead — the same shape as the
 	// agentrpc client falling back to a local policy on transport failure.
-	// These three are atomics so the telemetry debug endpoint can export
-	// them from another goroutine while the simulation runs.
+	// These two are atomics so the streaming observer can read them at
+	// snapshot boundaries of a sharded run, on another shard's worker.
 	degradedDecisions atomic.Int64
 	nonfiniteActions  atomic.Int64
 
@@ -132,7 +132,7 @@ func (j *Jury) ControlInterval() time.Duration { return j.cfg.Interval }
 // OnInterval implements cc.IntervalAlgorithm: one full pass of the Fig. 2
 // pipeline.
 func (j *Jury) OnInterval(s cc.IntervalStats) {
-	j.intervals.Add(1)
+	j.intervals++
 	if s.FlowMinRTT > 0 {
 		j.minRTT = s.FlowMinRTT
 	}
@@ -204,7 +204,7 @@ func (j *Jury) decide(s cc.IntervalStats) {
 	j.applyAction(a)
 	if j.rangeTraceCap != 0 && len(j.rangeTrace) < j.rangeTraceCap {
 		j.rangeTrace = append(j.rangeTrace, RangePoint{
-			Interval:  j.intervals.Load(),
+			Interval:  j.intervals,
 			Mu:        mu,
 			Delta:     delta,
 			Occupancy: j.lastOcc,
@@ -345,13 +345,10 @@ func (j *Jury) Occupancy() float64 { return j.lastOcc }
 // Signals returns the most recent transformed signals.
 func (j *Jury) Signals() Signals { return j.lastSignals }
 
-// Intervals returns how many control intervals have elapsed.
-func (j *Jury) Intervals() int64 { return j.intervals.Load() }
-
 // DegradedDecisions returns how many control intervals fell back to the
 // AIMD action because non-finite signals or policy output reached the
-// decision boundary. Safe to call from any goroutine (the telemetry layer
-// exports it live).
+// decision boundary. Safe to call from any goroutine (the streaming observer
+// polls it at snapshot boundaries).
 func (j *Jury) DegradedDecisions() int64 { return j.degradedDecisions.Load() }
 
 // NonFiniteActions returns how many non-finite actions (or windows) slipped

@@ -36,9 +36,9 @@ import (
 // Telemetry, when set to a live hub by a binary's -telemetry/-trace-out/
 // -debug-addr flags, instruments every whole-run simulation (Run, RunHuge,
 // RunMultiBottleneck and everything built on them): run lifecycle counters
-// and spans, plus a SimObserver attached to each network. A nil hub (the
-// default) keeps the harness on its uninstrumented fast path — one nil
-// check and nothing else.
+// and spans, plus the sim-domain totals and sample events reportSim takes
+// from each finished network. A nil hub (the default) keeps the harness on
+// its uninstrumented fast path — one nil check and nothing else.
 var Telemetry *telemetry.Hub
 
 // DefaultShards is the shard count scenarios with Shards == 0 run at. The
@@ -342,12 +342,12 @@ type runOutcome struct {
 }
 
 // simulate is the one code path that executes a whole simulation. It
-// attaches the simcheck invariant checker, then telemetry, then the
-// streaming observer — each chains behind the taps before it, so they
-// compose — runs the network to the horizon sequentially or sharded, and
-// finishes the checker and the observer. Every builder (Run's dumbbell,
-// BuildHuge's mesh, the parking lot) hands its network here, so every
-// whole-run experiment is audited, instrumented and observed alike.
+// attaches the simcheck invariant checker, then the streaming observer
+// (which chains behind the checker's tap), runs the network to the horizon
+// sequentially or sharded, reports the run to telemetry, and finishes the
+// checker and the observer. Every builder (Run's dumbbell, BuildHuge's
+// mesh, the parking lot) hands its network here, so every whole-run
+// experiment is audited, instrumented and observed alike.
 func simulate(n *netsim.Network, sp runSpec) (runOutcome, error) {
 	liveRuns.Add(1)
 	var ck *simcheck.Checker
@@ -358,7 +358,6 @@ func simulate(n *netsim.Network, sp runSpec) (runOutcome, error) {
 	var span telemetry.Span
 	var started time.Time
 	if hub.Enabled() {
-		telemetry.AttachSim(n, hub)
 		hub.Registry.Counter("exp_runs_started_total", "scenario runs started").Inc()
 		span = hub.StartSpan("run:"+sp.name, 0)
 		hub.Event("exp", "run_start", 0,
@@ -396,11 +395,12 @@ func simulate(n *netsim.Network, sp runSpec) (runOutcome, error) {
 		if err != nil {
 			return fail("shard_error", err)
 		}
-		telemetry.RecordShards(hub, sr.Executed)
-		telemetry.RecordCoordinator(hub, sr.BarrierRounds, sr.FusedWindows)
 		out.shards = sr
 	} else {
 		out.shards = &netsim.ShardRun{Executed: []int64{int64(n.Run(sp.horizon))}}
+	}
+	if hub.Enabled() {
+		reportSim(hub, n, out.shards)
 	}
 	out.stream = ob.Finish(sp.horizon)
 	if ck != nil {
@@ -420,4 +420,66 @@ func simulate(n *netsim.Network, sp runSpec) (runOutcome, error) {
 			telemetry.Str("digest", fmt.Sprintf("%016x", out.digest)))
 	}
 	return out, nil
+}
+
+// reportSim exports one finished run to telemetry. The sim-domain counters
+// add up the simulator's own ledgers (flow, link and fault stats, executed
+// events, the Jury decision guards), so nothing observes the run while it
+// executes; a run through RunSharded also reports its shard and barrier
+// figures. With a trace sink, every recorded series point becomes one sim
+// "sample" event.
+func reportSim(hub *telemetry.Hub, n *netsim.Network, sr *netsim.ShardRun) {
+	r := hub.Registry
+	var sent, acked, lost, degraded, nonFinite, drops, faultN, events int64
+	for _, f := range n.Flows() {
+		st := f.Stats()
+		sent += st.SentPackets
+		acked += st.AckedPackets
+		lost += st.LostPackets
+		if j, ok := f.CC().(*core.Jury); ok {
+			degraded += j.DegradedDecisions()
+			nonFinite += j.NonFiniteActions()
+		}
+	}
+	for _, l := range n.Links() {
+		ls, fs := l.Stats(), l.FaultStats()
+		drops += ls.OverflowDrops + ls.RandomDrops
+		faultN += fs.BurstDrops + fs.BlackoutDrops + fs.Reordered + fs.Duplicated + fs.JitterSpikes
+	}
+	for _, e := range sr.Executed {
+		events += e
+	}
+	r.Counter("sim_packets_sent_total", "packets transmitted by all flows").Add(sent)
+	r.Counter("sim_packets_acked_total", "acknowledgments delivered to senders").Add(acked)
+	r.Counter("sim_packets_lost_total", "sender-detected packet losses").Add(lost)
+	r.Counter("sim_queue_drops_total", "packets discarded by link queues (overflow + random)").Add(drops)
+	r.Counter("sim_faults_injected_total", "fault-injector actions on packets").Add(faultN)
+	r.Counter("sim_engine_events_total", "discrete events executed by finished runs").Add(events)
+	r.Counter("jury_degraded_decisions", "AIMD fallbacks at the decision boundary (non-finite signals or policy output)").Add(degraded)
+	r.Counter("jury_nonfinite_actions", "non-finite actions that slipped past the decision guard (must stay 0)").Add(nonFinite)
+	if sr.Partition != nil { // set only by RunSharded
+		r.Gauge("sim_shards", "shard count of the most recent sharded run").Set(float64(len(sr.Executed)))
+		for i, e := range sr.Executed {
+			r.Counter(fmt.Sprintf("sim_shard_%d_events_total", i),
+				fmt.Sprintf("events executed by shard %d across sharded runs", i)).Add(e)
+		}
+		r.Counter("sim_barrier_rounds_total", "barrier episodes across sharded runs").Add(sr.BarrierRounds)
+		r.Counter("sim_fused_windows_total", "windows that skipped the exchange phase across sharded runs").Add(sr.FusedWindows)
+	}
+	if hub.Tracer == nil {
+		return
+	}
+	for _, f := range n.Flows() {
+		for _, p := range f.Series() {
+			hub.Tracer.Event("sim", "sample", p.T,
+				telemetry.Str("flow", f.Name()),
+				telemetry.F64("thr_bps", p.ThroughputBps),
+				telemetry.F64("send_bps", p.SendRateBps),
+				telemetry.Dur("rtt_ns", p.AvgRTT),
+				telemetry.F64("loss", p.LossRate),
+				telemetry.F64("cwnd", p.Cwnd),
+				telemetry.F64("pacing_bps", p.PacingBps),
+			)
+		}
+	}
 }

@@ -138,8 +138,8 @@ func (m *MLP) Forward(x []float64) []float64 {
 	return cur
 }
 
-// Scratch holds reusable ping-pong buffers for ForwardInto and BackwardInto,
-// sized to the widest layer of the MLP it was built for. A Scratch is not
+// Scratch holds reusable ping-pong buffers for ForwardInto, sized to the
+// widest layer of the MLP it was built for. A Scratch is not
 // safe for concurrent use; give each goroutine its own.
 type Scratch struct {
 	a, b []float64
@@ -161,7 +161,7 @@ func NewScratch(m *MLP) *Scratch {
 
 // ForwardInto runs inference using s's buffers instead of allocating. The
 // returned slice aliases the scratch and is valid only until the next
-// ForwardInto/BackwardInto call with the same Scratch.
+// ForwardInto call with the same Scratch.
 func (m *MLP) ForwardInto(x []float64, s *Scratch) []float64 {
 	cur := x
 	useA := true
@@ -183,69 +183,6 @@ func (m *MLP) ForwardInto(x []float64, s *Scratch) []float64 {
 		cur = next
 	}
 	return cur
-}
-
-// Trace caches the per-layer activations of one forward pass so Backward
-// can run. acts[0] is the input; acts[i+1] is layer i's output.
-type Trace struct {
-	acts [][]float64
-}
-
-// Output returns the network output of the traced pass.
-func (t *Trace) Output() []float64 { return t.acts[len(t.acts)-1] }
-
-// NewTrace allocates a reusable Trace shaped for m (see ForwardTraceInto).
-func NewTrace(m *MLP) *Trace {
-	tr := &Trace{acts: make([][]float64, len(m.Layers)+1)}
-	tr.acts[0] = make([]float64, m.Layers[0].In)
-	for i, l := range m.Layers {
-		tr.acts[i+1] = make([]float64, l.Out)
-	}
-	return tr
-}
-
-// ForwardTraceInto runs inference recording activations into tr, which must
-// have been built by NewTrace for an MLP of m's shape. The input is copied
-// into tr's own buffer, so tr never aliases x. Returns tr.
-func (m *MLP) ForwardTraceInto(x []float64, tr *Trace) *Trace {
-	copy(tr.acts[0], x)
-	cur := tr.acts[0]
-	for li, l := range m.Layers {
-		next := tr.acts[li+1]
-		for o := 0; o < l.Out; o++ {
-			sum := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			next[o] = sum
-		}
-		l.Act.apply(next)
-		cur = next
-	}
-	return tr
-}
-
-// ForwardTrace runs inference and records the activations.
-func (m *MLP) ForwardTrace(x []float64) *Trace {
-	tr := &Trace{acts: make([][]float64, 0, len(m.Layers)+1)}
-	tr.acts = append(tr.acts, x)
-	cur := x
-	for _, l := range m.Layers {
-		next := make([]float64, l.Out)
-		for o := 0; o < l.Out; o++ {
-			sum := l.B[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i, xi := range cur {
-				sum += row[i] * xi
-			}
-			next[o] = sum
-		}
-		l.Act.apply(next)
-		tr.acts = append(tr.acts, next)
-		cur = next
-	}
-	return tr
 }
 
 // Grads accumulates parameter gradients with the same shapes as the MLP.
@@ -324,87 +261,6 @@ func (g *Grads) ClipNorm(max float64) {
 	if norm > max {
 		g.Scale(max / norm)
 	}
-}
-
-// Backward accumulates parameter gradients into g for the traced pass given
-// dOut = dLoss/dOutput, and returns dLoss/dInput (actor-critic updates
-// backpropagate the critic's input gradient into the actor).
-func (m *MLP) Backward(tr *Trace, dOut []float64, g *Grads) []float64 {
-	delta := make([]float64, len(dOut))
-	copy(delta, dOut)
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		l := m.Layers[li]
-		in := tr.acts[li]
-		out := tr.acts[li+1]
-		// Through the activation.
-		for o := range delta {
-			delta[o] *= l.Act.derivFromOutput(out[o])
-		}
-		// Parameter gradients.
-		gw := g.W[li]
-		gb := g.B[li]
-		for o := 0; o < l.Out; o++ {
-			d := delta[o]
-			gb[o] += d
-			row := gw[o*l.In : (o+1)*l.In]
-			for i, xi := range in {
-				row[i] += d * xi
-			}
-		}
-		// Input gradient for the next (previous) layer.
-		next := make([]float64, l.In)
-		for o := 0; o < l.Out; o++ {
-			d := delta[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i := range next {
-				next[i] += d * row[i]
-			}
-		}
-		delta = next
-	}
-	return delta
-}
-
-// BackwardInto is Backward using s's ping-pong buffers for the per-layer
-// deltas instead of allocating. The returned input gradient aliases the
-// scratch and is valid only until the next use of s.
-func (m *MLP) BackwardInto(tr *Trace, dOut []float64, g *Grads, s *Scratch) []float64 {
-	delta := s.a[:len(dOut)]
-	copy(delta, dOut)
-	useA := false // delta occupies a; the first input-gradient buffer is b
-	for li := len(m.Layers) - 1; li >= 0; li-- {
-		l := m.Layers[li]
-		in := tr.acts[li]
-		out := tr.acts[li+1]
-		for o := range delta {
-			delta[o] *= l.Act.derivFromOutput(out[o])
-		}
-		gw := g.W[li]
-		gb := g.B[li]
-		for o := 0; o < l.Out; o++ {
-			d := delta[o]
-			gb[o] += d
-			row := gw[o*l.In : (o+1)*l.In]
-			for i, xi := range in {
-				row[i] += d * xi
-			}
-		}
-		next := s.b[:l.In]
-		if useA {
-			next = s.a[:l.In]
-		}
-		useA = !useA
-		clearSlice(next)
-		for o := 0; o < l.Out; o++ {
-			d := delta[o]
-			row := l.W[o*l.In : (o+1)*l.In]
-			for i := range next {
-				next[i] += d * row[i]
-			}
-		}
-		delta = next
-	}
-	return delta
 }
 
 // Clone returns a deep copy (used to spawn target networks).

@@ -34,11 +34,18 @@ func TestForwardTraceMatchesForward(t *testing.T) {
 	m := newTestMLP(2)
 	x := []float64{0.5, -1, 0.25}
 	a := m.Forward(x)
-	b := m.ForwardTrace(x).Output()
+	tr := m.forwardTrace(x, newSampleTrace(m))
+	b := tr.output()
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace output diverges: %v vs %v", a, b)
 		}
+	}
+	// The trace must own its input buffer: mutating x afterwards must not
+	// change the recorded activations.
+	x[0] = 99
+	if tr.acts[0][0] == 99 {
+		t.Fatal("trace aliases caller input")
 	}
 }
 
@@ -68,9 +75,8 @@ func TestBackwardMatchesNumericalGradients(t *testing.T) {
 	x := []float64{0.3, -0.7, 1.1}
 	dOut := []float64{1.0, -0.5}
 
-	tr := m.ForwardTrace(x)
 	g := NewGrads(m)
-	m.Backward(tr, dOut, g)
+	sampleGrad(m, x, dOut, g)
 
 	for li, l := range m.Layers {
 		for wi := range l.W {
@@ -94,9 +100,7 @@ func TestBackwardInputGradientMatchesNumerical(t *testing.T) {
 	m := newTestMLP(4)
 	x := []float64{0.3, -0.7, 1.1}
 	dOut := []float64{0.8, 0.2}
-	tr := m.ForwardTrace(x)
-	g := NewGrads(m)
-	dIn := m.Backward(tr, dOut, g)
+	dIn := sampleGrad(m, x, dOut, NewGrads(m))
 
 	const h = 1e-6
 	for i := range x {
@@ -122,9 +126,8 @@ func TestGradCheckSigmoidNetwork(t *testing.T) {
 	m := NewMLP(rng, []int{2, 6, 1}, []Activation{Sigmoid, Sigmoid})
 	x := []float64{0.4, -0.9}
 	dOut := []float64{1}
-	tr := m.ForwardTrace(x)
 	g := NewGrads(m)
-	m.Backward(tr, dOut, g)
+	sampleGrad(m, x, dOut, g)
 	l := m.Layers[0]
 	for wi := range l.W {
 		want := numericalGrad(m, x, dOut, &l.W[wi])
@@ -141,13 +144,13 @@ func TestAdamLearnsXOR(t *testing.T) {
 	inputs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	targets := []float64{0, 1, 1, 0}
 	g := NewGrads(m)
+	tr, s := newSampleTrace(m), NewScratch(m)
 	for epoch := 0; epoch < 3000; epoch++ {
 		g.Zero()
 		for i, x := range inputs {
-			tr := m.ForwardTrace(x)
-			out := tr.Output()[0]
+			out := m.forwardTrace(x, tr).output()[0]
 			// d(MSE)/dout = 2(out - target)
-			m.Backward(tr, []float64{2 * (out - targets[i])}, g)
+			m.backward(tr, []float64{2 * (out - targets[i])}, g, s)
 		}
 		g.Scale(1.0 / float64(len(inputs)))
 		opt.Step(m, g)
@@ -171,11 +174,12 @@ func TestAdamLearnsRegression(t *testing.T) {
 		x1, x2 := rng.Range(-1, 1), rng.Range(-1, 1)
 		data[i] = [3]float64{x1, x2, 2*x1 - 3*x2 + 1}
 	}
+	tr, s := newSampleTrace(m), NewScratch(m)
 	for epoch := 0; epoch < 500; epoch++ {
 		g.Zero()
 		for _, d := range data {
-			tr := m.ForwardTrace([]float64{d[0], d[1]})
-			m.Backward(tr, []float64{2 * (tr.Output()[0] - d[2])}, g)
+			m.forwardTrace([]float64{d[0], d[1]}, tr)
+			m.backward(tr, []float64{2 * (tr.output()[0] - d[2])}, g, s)
 		}
 		g.Scale(1.0 / float64(len(data)))
 		opt.Step(m, g)

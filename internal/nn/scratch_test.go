@@ -28,67 +28,6 @@ func TestForwardIntoMatchesForward(t *testing.T) {
 	}
 }
 
-func TestForwardTraceIntoMatchesForwardTrace(t *testing.T) {
-	m := newTestMLP(12)
-	tr := NewTrace(m)
-	x := []float64{0.5, -1, 0.25}
-	want := m.ForwardTrace(x)
-	got := m.ForwardTraceInto(x, tr)
-	if got != tr {
-		t.Fatal("ForwardTraceInto must return its argument")
-	}
-	for li := range want.acts {
-		for i := range want.acts[li] {
-			if got.acts[li][i] != want.acts[li][i] {
-				t.Fatalf("layer %d act %d: %v vs %v", li, i, got.acts[li], want.acts[li])
-			}
-		}
-	}
-	// The trace must own its input buffer: mutating x afterwards must not
-	// change the recorded activations.
-	x[0] = 99
-	if tr.acts[0][0] == 99 {
-		t.Fatal("trace aliases caller input")
-	}
-}
-
-func TestBackwardIntoMatchesBackward(t *testing.T) {
-	m := newTestMLP(13)
-	s := NewScratch(m)
-	x := []float64{0.3, -0.7, 1.1}
-	dOut := []float64{1.0, -0.5}
-
-	tr := m.ForwardTrace(x)
-	gWant := NewGrads(m)
-	dInWant := m.Backward(tr, dOut, gWant)
-
-	tr2 := NewTrace(m)
-	m.ForwardTraceInto(x, tr2)
-	gGot := NewGrads(m)
-	dInGot := m.BackwardInto(tr2, dOut, gGot, s)
-
-	if len(dInGot) != len(dInWant) {
-		t.Fatalf("input grad len %d vs %d", len(dInGot), len(dInWant))
-	}
-	for i := range dInWant {
-		if dInGot[i] != dInWant[i] {
-			t.Fatalf("input grad %d: %v vs %v", i, dInGot, dInWant)
-		}
-	}
-	for li := range gWant.W {
-		for j := range gWant.W[li] {
-			if gGot.W[li][j] != gWant.W[li][j] {
-				t.Fatalf("W grad layer %d idx %d: %v vs %v", li, j, gGot.W[li][j], gWant.W[li][j])
-			}
-		}
-		for j := range gWant.B[li] {
-			if gGot.B[li][j] != gWant.B[li][j] {
-				t.Fatalf("B grad layer %d idx %d: %v vs %v", li, j, gGot.B[li][j], gWant.B[li][j])
-			}
-		}
-	}
-}
-
 func TestScratchReuseAcrossCalls(t *testing.T) {
 	// Repeated ForwardInto calls with one scratch must keep producing
 	// results identical to the allocating path (no stale-state leakage).
@@ -133,35 +72,6 @@ func BenchmarkMLPForward(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			sinkF64 = m.ForwardInto(x, s)[0]
-		}
-	})
-}
-
-func BenchmarkMLPBackward(b *testing.B) {
-	m := benchMLP()
-	x := make([]float64, m.InputDim())
-	for i := range x {
-		x[i] = float64(i) * 0.1
-	}
-	dOut := []float64{1}
-	b.Run("alloc", func(b *testing.B) {
-		g := NewGrads(m)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr := m.ForwardTrace(x)
-			g.Zero()
-			sinkSlice = m.Backward(tr, dOut, g)
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		g := NewGrads(m)
-		s := NewScratch(m)
-		tr := NewTrace(m)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.ForwardTraceInto(x, tr)
-			g.Zero()
-			sinkSlice = m.BackwardInto(tr, dOut, g, s)
 		}
 	})
 }

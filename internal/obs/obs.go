@@ -241,8 +241,8 @@ type Observer struct {
 	finished      bool
 }
 
-// Attach instruments n, chaining any previously installed tap (simcheck,
-// telemetry) and claiming the network's window hook. shards must be at
+// Attach instruments n, chaining any previously installed tap (simcheck's
+// checker) and claiming the network's window hook. shards must be at
 // least the shard count the run will use (exp passes the requested
 // max-shards; netsim.Flow.Shard always stays below it).
 func (rt *Runtime) Attach(n *netsim.Network, shards int) *Observer {

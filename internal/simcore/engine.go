@@ -215,16 +215,12 @@ func NewEngine() *Engine {
 // Now reports the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Pending reports how many events are queued (including cancelled ones that
+// Len reports how many events are queued (including cancelled ones that
 // have not yet been drained).
-func (e *Engine) Pending() int { return e.queue.size() }
-
-// Len is the queue length — identical to Pending, exported under the name
-// the shard coordinator and its tests use for "events left in this engine".
 func (e *Engine) Len() int { return e.queue.size() }
 
 // PendingEvents reports how many queued events are still live, i.e. not yet
-// cancelled. Unlike Pending it excludes cancelled-but-undrained entries; it
+// cancelled. Unlike Len it excludes cancelled-but-undrained entries; it
 // scans the queue (O(n)), so it is meant for tests and debug surfaces, not
 // per-event hot paths.
 func (e *Engine) PendingEvents() int {
@@ -377,8 +373,8 @@ func (e *Engine) InjectArg(at, schedAt time.Duration, fn func(any), arg any) Tim
 // on the simulation goroutine immediately before each event's callback, with
 // the event's firing time and global sequence number. A nil fn detaches the
 // hook. At most one hook is registered at a time; observers that need to
-// stack (internal/simcheck plus internal/telemetry) read the current hook
-// with EventHook and chain it inside their own.
+// stack (internal/simcheck plus the network's window hook) read the current
+// hook with EventHook and chain it inside their own.
 func (e *Engine) SetEventHook(fn func(at time.Duration, seq uint64)) {
 	e.eventHook = fn
 }

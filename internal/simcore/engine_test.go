@@ -54,8 +54,8 @@ func TestEngineHorizon(t *testing.T) {
 	if e.Now() != 20 {
 		t.Fatalf("clock at %v, want 20", e.Now())
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending %d, want 1", e.Pending())
+	if e.Len() != 1 {
+		t.Fatalf("pending %d, want 1", e.Len())
 	}
 	// A second Run picks up where the first left off.
 	e.Run(30)

@@ -120,8 +120,8 @@ func TestWheelCancelAcrossSlotBoundaries(t *testing.T) {
 			t.Fatalf("timer %d: fired=%v at %v, want %v", i, ok, got, d)
 		}
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("queue not drained: %d pending", e.Pending())
+	if e.Len() != 0 {
+		t.Fatalf("queue not drained: %d pending", e.Len())
 	}
 }
 

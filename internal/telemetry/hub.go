@@ -79,10 +79,9 @@ func (h *Hub) preRegister() {
 	r.Counter("sim_packets_lost_total", "sender-detected packet losses")
 	r.Counter("sim_queue_drops_total", "packets discarded by link queues (overflow + random)")
 	r.Counter("sim_faults_injected_total", "fault-injector actions on packets")
-	r.Counter("sim_intervals_total", "interval statistics delivered to controllers")
-	r.Counter("sim_engine_events_total", "discrete events executed by instrumented engines")
-	r.Histogram("sim_ack_rtt_seconds", "per-ACK round-trip time", ExpBuckets(1e-3, 2, 14))
-	r.Gauge("sim_virtual_time_seconds", "virtual clock of the most recently attached network")
+	r.Counter("sim_engine_events_total", "discrete events executed by finished runs")
+	r.Counter("jury_degraded_decisions", "AIMD fallbacks at the decision boundary (non-finite signals or policy output)")
+	r.Counter("jury_nonfinite_actions", "non-finite actions that slipped past the decision guard (must stay 0)")
 	// train domain
 	r.Gauge("train_epoch", "last completed training epoch")
 	r.Gauge("train_mean_reward", "mean per-step reward of the last epoch")

@@ -63,14 +63,8 @@ func TestTelemetryDigestParity(t *testing.T) {
 	if r.Counter("sim_packets_sent_total", "").Value() == 0 {
 		t.Error("sim_packets_sent_total stayed 0 under an instrumented run")
 	}
-	if r.Counter("sim_intervals_total", "").Value() == 0 {
-		t.Error("sim_intervals_total stayed 0 under an instrumented run")
-	}
 	if r.Counter("exp_runs_finished_total", "").Value() != 1 {
 		t.Errorf("exp_runs_finished_total = %d, want 1", r.Counter("exp_runs_finished_total", "").Value())
-	}
-	if r.Histogram("sim_ack_rtt_seconds", "", nil).Count() == 0 {
-		t.Error("sim_ack_rtt_seconds saw no samples")
 	}
 }
 

@@ -176,8 +176,8 @@ func ExpBuckets(start, factor float64, n int) []float64 {
 }
 
 // gaugeFunc is a read-on-exposition gauge backed by a callback, used to
-// export counters owned by other subsystems (Jury decision guards, RPC
-// server panics) without polling loops. The callback must be safe to call
+// export counters owned by other subsystems (the inference daemon's serving
+// counters, the run store's record count) without polling loops. The callback must be safe to call
 // from the debug HTTP goroutine (read atomics or take the owner's lock).
 type gaugeFunc struct {
 	name string
@@ -259,8 +259,9 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 }
 
 // GaugeFunc registers (or re-points) a callback-backed gauge. Re-pointing is
-// deliberate: each experiment run re-attaches its own live network, and the
-// debug page should show the most recent one. A callback also takes over a
+// deliberate: a re-exported owner (a re-attached run store, a second daemon
+// in one process) replaces the old one, and the debug page should show the
+// most recent. A callback also takes over a
 // plain Gauge pre-registered under the same name (preRegister publishes the
 // schema before the owning subsystem runs): the plain instrument is dropped
 // so exposition resolves the live callback instead of a stale zero, and the

@@ -5,33 +5,14 @@ import (
 	"time"
 )
 
-// RPCServerStats is the structural slice of agentrpc.Server the hub
-// exports (Decisions and Panics are mutex-guarded, safe to call from the
-// debug HTTP goroutine).
-type RPCServerStats interface {
-	Decisions() int64
-	Panics() int64
-}
-
-// ExportRPCServer registers callback gauges mirroring the inference
-// server's served-request and policy-panic counters.
-func (h *Hub) ExportRPCServer(s RPCServerStats) {
-	if h == nil || s == nil {
-		return
-	}
-	h.Registry.GaugeFunc("rpc_server_decisions", "requests served by the local inference server",
-		func() float64 { return float64(s.Decisions()) })
-	h.Registry.GaugeFunc("rpc_server_panics", "connections dropped by a panicking policy",
-		func() float64 { return float64(s.Panics()) })
-}
-
 // RPCDaemonStats is the structural slice of the hardened inference daemon
 // (agentrpc.Server) the hub exports: batching efficiency, admission-control
 // shedding, hot-swap/rollback history, deadline enforcement, and per-tenant
 // decision accounting. All methods are atomic- or mutex-backed, safe to call
 // from the debug HTTP goroutine.
 type RPCDaemonStats interface {
-	RPCServerStats
+	Decisions() int64
+	Panics() int64
 	Batches() int64
 	BatchedRequests() int64
 	Shed() int64
@@ -54,8 +35,11 @@ func (h *Hub) ExportRPCDaemon(s RPCDaemonStats) {
 	if h == nil || s == nil {
 		return
 	}
-	h.ExportRPCServer(s)
 	r := h.Registry
+	r.GaugeFunc("rpc_server_decisions", "requests served by the local inference server",
+		func() float64 { return float64(s.Decisions()) })
+	r.GaugeFunc("rpc_server_panics", "connections dropped by a panicking policy",
+		func() float64 { return float64(s.Panics()) })
 	r.GaugeFunc("rpc_server_batches", "policy executions (batched or single) run by the daemon",
 		func() float64 { return float64(s.Batches()) })
 	r.GaugeFunc("rpc_server_batched_requests", "requests that entered batch execution",

@@ -269,7 +269,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	hub.Training().EpochEnd(0, 0, 0, 0, 0, 0, 0)
 	hub.Training().CheckpointSaved(0, 0)
-	hub.ExportRPCServer(nil)
+	hub.ExportRPCDaemon(nil)
 	if hub.RPCClientHook() != nil {
 		t.Fatal("nil hub must return a nil RPC hook")
 	}
@@ -321,24 +321,6 @@ func TestEnabledEventZeroAlloc(t *testing.T) {
 	}); n > 0 {
 		t.Fatalf("enabled event emission allocates %.1f/op", n)
 	}
-}
-
-func TestRecordCoordinatorCounters(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.jsonl")
-	h, err := Setup(Options{TraceOut: tracePath})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	RecordCoordinator(h, 12, 5)
-	RecordCoordinator(h, 3, 1) // counters accumulate across runs
-	if got := h.Registry.Counter("sim_barrier_rounds_total", "").Value(); got != 15 {
-		t.Fatalf("sim_barrier_rounds_total = %d, want 15", got)
-	}
-	if got := h.Registry.Counter("sim_fused_windows_total", "").Value(); got != 6 {
-		t.Fatalf("sim_fused_windows_total = %d, want 6", got)
-	}
-	RecordCoordinator(nil, 1, 1) // disabled hub: must not panic
 }
 
 func TestSetupDisabled(t *testing.T) {

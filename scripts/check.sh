@@ -44,8 +44,15 @@ go test -race -run '^TestCoordinator' -count=1 ./internal/simcore
 go test -race -run '^(TestRunSharded|TestPartition)' -count=1 ./internal/netsim
 go test -race -run '^TestSharded' -count=1 ./internal/simcheck
 
-echo "== telemetry: disabled-path zero-alloc + digest parity"
+echo "== telemetry: stdlib-only leaf (imports no repro/ package)"
+if go list -deps ./internal/telemetry | grep '^repro/' | grep -vx 'repro/internal/telemetry'; then
+    echo "internal/telemetry must not import repro/ packages (listed above)" >&2
+    exit 1
+fi
+
+echo "== telemetry: disabled-path zero-alloc + digest parity + sim counters equal the ledgers"
 go test -run '^(TestDisabledZeroAlloc|TestEnabledEventZeroAlloc|TestNilSafety|TestTelemetryDigestParity)$' -count=1 ./internal/telemetry
+go test -run '^(TestSimCountersMatchLedgers|TestShardedSimCounters)$' -count=1 ./internal/exp
 
 echo "== telemetry: metric-family get-or-create race + histogram bucket validation"
 go test -race -run '^(TestRegistryConcurrentGetOrCreate|TestHistogramBucketValidation|TestTenantMetricNameCollision)$' -count=1 ./internal/telemetry
